@@ -25,21 +25,23 @@
 //!   construction: attributes whose lists touch ≥ 1/8th of the present
 //!   population (stylometric attribute sets are projections of one shared
 //!   feature space, so common features produce lists of length ≈ `|V2|`)
-//!   move off the probe path into per-user bitmask rows and a transposed
-//!   `(slot, weight)` CSR. Intersections then come from popcounts,
-//!   pruning uses a monotone upper bound on the weighted term, and only
-//!   surviving pairs pay the exact hot merge — keeping per-anonymized-user
-//!   work near `O(rare postings + |V2|·words)` instead of
-//!   `O(Σ hot-list length)`.
+//!   move off the probe path into per-user bitmask rows and dense
+//!   per-user weight rows ([`HotAttrs`]). Intersections then come from
+//!   popcounts, pruning uses a monotone upper bound on the weighted term,
+//!   and only surviving pairs pay the exact hot merge (a branch-free
+//!   `Σ min` over the row) — keeping per-anonymized-user work near
+//!   `O(rare postings + |V2|·words)` instead of `O(Σ hot-list length)`.
 //! - Pairs are pruned against the [`BoundedTopK::floor`] with a cheap
-//!   monotone upper bound: a pair sharing no attributes can score at most
-//!   `c1·s^d_max + c2·s^s_max` (degree similarity caps at 3 and distance
-//!   similarity at 2 — *exact* `f64` caps, because
+//!   monotone upper bound. The structural part `c1·s^d + c2·s^s` is
+//!   bounded by the constant `c1·3 + c2·2` (degree similarity caps at 3
+//!   and distance similarity at 2 — *exact* `f64` caps, because
 //!   [`padded_cosine`](crate::similarity::padded_cosine) clamps to 1 and
-//!   the min/max ratios cannot round past 1), and a pair with exact
-//!   attribute similarity `s^a` at most `c1·3 + c2·2 + c3·s^a`. Only
-//!   pairs whose bound beats the floor fall back to the full
-//!   degree/distance computation.
+//!   the min/max ratios cannot round past 1) and, when that does not
+//!   settle the pair, by the pair's own `c1·(d + wd + 1) + c2·2` from its
+//!   exact degree ratios. The attribute part is the exact `c3·s^a`, or
+//!   before the hot merge an upper bound on it. Only pairs whose bound
+//!   beats the floor fall back to the full degree/distance computation,
+//!   which reads both sides' [`StructuralState`] arenas.
 //!
 //! **Exactness.** Pruning never changes the outcome. `f64` multiplication
 //! by a non-negative constant and `f64` addition are monotone, so the
@@ -65,7 +67,7 @@ use dehealth_stylometry::UserAttributes;
 
 use crate::arena::{ArenaCastError, ArenaView};
 use crate::filter::ScoreBounds;
-use crate::similarity::{QuantizedStructural, SimilarityEngine};
+use crate::similarity::{QuantizedStructural, SimilarityEngine, StructuralState};
 use crate::topk::BoundedTopK;
 use crate::uda::UdaGraph;
 
@@ -697,9 +699,12 @@ pub(crate) fn take_view<T: crate::arena::DecodeLe>(
 pub struct PairTally {
     /// Pairs fully scored (degree + distance + attribute terms).
     pub scored: u64,
-    /// Pairs skipped because their upper bound could not beat the Top-K
-    /// floor.
-    pub pruned: u64,
+    /// Pairs skipped on their pre-merge bound — exact Jaccard term plus
+    /// a cap on the hot-attribute merge — before paying the merge.
+    pub pruned_before_merge: u64,
+    /// Pairs that paid the exact hot-attribute merge and were then
+    /// skipped on their exact attribute term.
+    pub pruned_after_merge: u64,
     /// Pairs fully scored *under an active prescreen margin* — the exact
     /// scorings the approximate tier still paid. Always 0 in exact mode.
     pub admitted: u64,
@@ -711,10 +716,20 @@ pub struct PairTally {
     pub skipped: u64,
 }
 
+impl PairTally {
+    /// Pairs skipped because their upper bound could not beat the Top-K
+    /// floor, before or after the hot merge.
+    #[must_use]
+    pub fn pruned(&self) -> u64 {
+        self.pruned_before_merge + self.pruned_after_merge
+    }
+}
+
 impl std::ops::AddAssign for PairTally {
     fn add_assign(&mut self, rhs: Self) {
         self.scored += rhs.scored;
-        self.pruned += rhs.pruned;
+        self.pruned_before_merge += rhs.pruned_before_merge;
+        self.pruned_after_merge += rhs.pruned_after_merge;
         self.admitted += rhs.admitted;
         self.skipped += rhs.skipped;
     }
@@ -755,20 +770,27 @@ impl IndexScratch {
     }
 }
 
-/// Hot-attribute side tables of one [`IndexedScorer`].
+/// Hot-attribute side tables of an [`IndexedScorer`].
 ///
 /// In a stylometric corpus the attribute sets are binary projections of
 /// the *same* feature space, so common features (letters, punctuation,
 /// frequent function words) produce posting lists touching nearly every
 /// auxiliary user. Probing those lists per anonymized user costs
 /// `Θ(|V1|·|V2|·density)` — the skew wall the 100k sweep hits. The scorer
-/// therefore splits attributes at construction: lists shorter than the
-/// hot threshold stay on the probe path, while *hot* attributes are
-/// transposed into per-user bitmask rows (for exact intersection counts
-/// via popcount) and a per-user `(slot, weight)` CSR (for the exact
-/// min-weight merge, paid only by pairs that survive pruning).
-#[derive(Debug)]
-struct HotAttrs {
+/// therefore splits attributes: lists shorter than the hot threshold stay
+/// on the probe path, while *hot* attributes are transposed into per-user
+/// bitmask rows (for exact intersection counts via popcount) and dense
+/// per-user weight rows (for the exact min-weight merge, a branch-free
+/// `Σ min` paid only by pairs that survive pruning).
+///
+/// Built from the index alone ([`Self::build`]), so a standing corpus
+/// builds it once and lends it to every scorer ([`IndexedScorer::new`]).
+#[derive(Debug, Clone)]
+pub struct HotAttrs {
+    /// Index watermark the tables start at.
+    from: usize,
+    /// Index users covered when built (`from..n_users`).
+    n_users: usize,
     /// Attribute id → hot slot, `u32::MAX` for rare attributes.
     slot_of: Vec<u32>,
     /// Number of hot attributes (slots).
@@ -779,20 +801,22 @@ struct HotAttrs {
     masks: Vec<u64>,
     /// Per local user: `Σ l_v` over its hot attributes.
     hot_wsums: Vec<u64>,
-    /// Per-user hot CSR: row `lv` is `starts[lv]..starts[lv + 1]`.
-    starts: Vec<usize>,
-    /// Hot slot of each CSR entry, ascending within a row.
-    slots: Vec<u32>,
-    /// Weight `l_v` of each CSR entry, parallel to `slots`.
-    weights: Vec<u32>,
+    /// Concatenated per-local-user weight rows (`n_local * n_hot`): row
+    /// `lv` holds `l_v` per hot slot, 0 where `v` lacks the attribute.
+    rows: Vec<u32>,
 }
 
 impl HotAttrs {
-    /// Classify attributes of `index`'s tail (`from..`) and transpose the
-    /// hot posting lists into per-user rows.
-    fn build(index: &AttributeIndex, from: usize) -> Self {
+    /// Classify the attributes of `index`'s tail (`from..`) and transpose
+    /// the hot posting lists into per-user rows.
+    ///
+    /// # Panics
+    /// Panics if `from` exceeds the index's user count.
+    #[must_use]
+    pub fn build(index: &AttributeIndex, from: usize) -> Self {
         let from32 = u32::try_from(from).expect("watermark overflows u32");
-        let n_local = index.n_users() - from;
+        let n_users = index.n_users();
+        let n_local = n_users - from;
         let n_present = index.present_from(from).len();
         // A list is hot when it touches at least 1/8th of the present
         // population (and at least 16 users, so tiny corpora keep the
@@ -811,35 +835,17 @@ impl HotAttrs {
         let words = n_hot.div_ceil(64);
         let mut masks = vec![0u64; n_local * words];
         let mut hot_wsums = vec![0u64; n_local];
-        let mut row_len = vec![0usize; n_local];
-        for &attr in &hot_attrs {
-            for &user in index.posting(attr as usize).suffix(from32).users {
-                row_len[user as usize - from] += 1;
-            }
-        }
-        let mut starts = Vec::with_capacity(n_local + 1);
-        let mut at = 0usize;
-        starts.push(0);
-        for &l in &row_len {
-            at += l;
-            starts.push(at);
-        }
-        let mut slots = vec![0u32; at];
-        let mut weights = vec![0u32; at];
-        let mut fill = starts.clone();
+        let mut rows = vec![0u32; n_local * n_hot];
         for (slot, &attr) in hot_attrs.iter().enumerate() {
             let plist = index.posting(attr as usize).suffix(from32);
             for (&user, &weight) in plist.users.iter().zip(plist.weights) {
                 let lv = user as usize - from;
-                let pos = fill[lv];
-                fill[lv] += 1;
-                slots[pos] = slot as u32;
-                weights[pos] = weight;
+                rows[lv * n_hot + slot] = weight;
                 masks[lv * words + slot / 64] |= 1u64 << (slot % 64);
                 hot_wsums[lv] += u64::from(weight);
             }
         }
-        Self { slot_of, n_hot, words, masks, hot_wsums, starts, slots, weights }
+        Self { from, n_users, slot_of, n_hot, words, masks, hot_wsums, rows }
     }
 
     /// Hot slot of `attr`, or `None` when the attribute is rare (or
@@ -849,6 +855,44 @@ impl HotAttrs {
             Some(&s) if s != u32::MAX => Some(s as usize),
             _ => None,
         }
+    }
+}
+
+/// The auxiliary half of the Top-K scoring state — its
+/// [`StructuralState`] for one landmark count plus the [`HotAttrs`] of
+/// its attribute index. Nothing in it depends on the anonymized side, so
+/// a standing corpus builds it once and hands it to every attack; the
+/// engine's prepared path builds a transient one when none fits.
+#[derive(Debug, Clone)]
+pub struct AuxScoringState {
+    structure: StructuralState,
+    hot: HotAttrs,
+}
+
+impl AuxScoringState {
+    /// Build the state of `uda` for `n_landmarks` landmarks, with hot
+    /// tables over `index` (which must index `uda`'s users).
+    #[must_use]
+    pub fn build(uda: &UdaGraph, index: &AttributeIndex, n_landmarks: usize) -> Self {
+        Self { structure: StructuralState::build(uda, n_landmarks), hot: HotAttrs::build(index, 0) }
+    }
+
+    /// The landmark count the structural part was built for.
+    #[must_use]
+    pub fn n_landmarks(&self) -> usize {
+        self.structure.n_landmarks()
+    }
+
+    /// The structural part.
+    #[must_use]
+    pub fn structure(&self) -> &StructuralState {
+        &self.structure
+    }
+
+    /// The hot-attribute tables.
+    #[must_use]
+    pub fn hot_attrs(&self) -> &HotAttrs {
+        &self.hot
     }
 }
 
@@ -871,8 +915,8 @@ pub struct IndexedScorer<'e, 'i> {
     attr_counts: &'i [u32],
     weight_sums: &'i [u64],
     present_flags: &'i [u8],
-    /// Hot-attribute bitmasks and per-user CSR (see [`HotAttrs`]).
-    hot: HotAttrs,
+    /// Hot-attribute bitmasks and dense weight rows (see [`HotAttrs`]).
+    hot: &'i HotAttrs,
     from: usize,
     prune: bool,
     /// Prescreen confidence margin in score units (see
@@ -889,41 +933,43 @@ pub struct IndexedScorer<'e, 'i> {
 
 impl<'e, 'i> IndexedScorer<'e, 'i> {
     /// Create a scorer over `sim`'s auxiliary side, which must occupy the
-    /// index ids `from..index.n_users()`.
+    /// index ids `hot.from..index.n_users()`, with hot tables built by
+    /// [`HotAttrs::build`] over this `index` (their watermark is the
+    /// scorer's `from`).
     ///
     /// `prune` enables upper-bound pruning. Disable it when the caller
     /// needs exact [`ScoreBounds`] over *all* present pairs (Algorithm-2
     /// filtering); scoring stays accumulator-driven either way.
     ///
     /// # Panics
-    /// Panics if the index tail does not match the engine's auxiliary
-    /// population.
+    /// Panics if `hot` was built over a different user count than
+    /// `index` holds, or if the index tail does not match the engine's
+    /// auxiliary population.
     #[must_use]
     pub fn new(
         sim: &'e SimilarityEngine<'e>,
         index: &'i AttributeIndex,
-        from: usize,
+        hot: &'i HotAttrs,
         prune: bool,
     ) -> Self {
+        assert_eq!(hot.n_users, index.n_users(), "hot tables were built over another index");
+        let from = hot.from;
         assert_eq!(
             index.n_users() - from,
             sim.n_aux(),
             "index tail (from {from}) does not cover the engine's auxiliary side"
         );
-        let w = sim.weights();
-        let td = if w.c1 >= 0.0 { w.c1 * 3.0 } else { 0.0 };
-        let ts = if w.c2 >= 0.0 { w.c2 * 2.0 } else { 0.0 };
         Self {
             sim,
             index,
             attr_counts: index.attr_counts.as_slice(),
             weight_sums: index.weight_sums.as_slice(),
             present_flags: index.present_flags.as_slice(),
-            hot: HotAttrs::build(index, from),
+            hot,
             from,
             prune,
             margin: 0.0,
-            struct_bound: td + ts,
+            struct_bound: sim.weights().structural_ceiling(2.0),
             quant: None,
         }
     }
@@ -962,6 +1008,39 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         self.quant.as_ref().expect("armed margin builds quantized tables").ceiling(u, lv)
     }
 
+    /// `true` when a pair with attribute term `attr_term` (exact, or an
+    /// upper bound on it) cannot beat `floor`. The constant global
+    /// structural bound is tried first; only pairs it cannot settle pay
+    /// for their degree ratios and the per-pair
+    /// [`structural_ceiling`](crate::similarity::SimilarityWeights::structural_ceiling),
+    /// which is never above the global one. The ratios are cached in
+    /// `ratios` for the score itself.
+    #[inline]
+    fn below_floor(
+        &self,
+        u: usize,
+        lv: usize,
+        attr_term: f64,
+        floor: f64,
+        ratios: &mut Option<f64>,
+    ) -> bool {
+        if self.struct_bound + attr_term < floor {
+            return true;
+        }
+        let r = *ratios.get_or_insert_with(|| self.sim.degree_ratios(u, lv));
+        self.sim.weights().structural_ceiling(r) + attr_term < floor
+    }
+
+    /// The full score `(c1·s^d + c2·s^s) + attr_term`, bit-identical to
+    /// [`SimilarityEngine::similarity`] given the exact attribute term.
+    #[inline]
+    fn score(&self, u: usize, lv: usize, attr_term: f64, ratios: Option<f64>) -> f64 {
+        let w = self.sim.weights();
+        let ratios = ratios.unwrap_or_else(|| self.sim.degree_ratios(u, lv));
+        let s_d = ratios + self.sim.ncs_cosine(u, lv);
+        (w.c1 * s_d + w.c2 * self.sim.distance_similarity(u, lv)) + attr_term
+    }
+
     /// Fresh accumulators sized for this scorer's auxiliary range.
     #[must_use]
     pub fn scratch(&self) -> IndexScratch {
@@ -995,8 +1074,8 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         let anon_attrs = &self.sim.anon_uda().attributes[u];
         let u_len = anon_attrs.len() as u64;
         let u_wsum = anon_attrs.weight_sum();
-        let hot = &self.hot;
-        let words = hot.words;
+        let hot = self.hot;
+        let (words, n_hot) = (hot.words, hot.n_hot);
 
         // Split u's attributes: hot ones fill the dense slot table and
         // bitmask, rare ones probe their posting-list suffix, accumulating
@@ -1034,6 +1113,9 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                 self.present_flags[v] != 0,
                 "absent users have no posts, hence no postings"
             );
+            // The pair's degree ratios `d + wd`, computed at most once:
+            // they feed both prune checks and, if scored, `s^d` itself.
+            let mut ratios: Option<f64> = None;
             // Exact intersection: rare accumulator + hot popcount.
             let inter_hot: u32 = if words == 0 {
                 0
@@ -1050,8 +1132,8 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                 let zero_term = w.c3 * 0.0;
                 if self.prune {
                     if let Some(floor) = top.floor() {
-                        if self.struct_bound + zero_term < floor {
-                            tally.pruned += 1;
+                        if self.below_floor(u, lv, zero_term, floor, &mut ratios) {
+                            tally.pruned_before_merge += 1;
                             continue;
                         }
                         if self.margin > 0.0
@@ -1063,9 +1145,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                         }
                     }
                 }
-                let s = (w.c1 * self.sim.degree_similarity(u, lv)
-                    + w.c2 * self.sim.distance_similarity(u, lv))
-                    + zero_term;
+                let s = self.score(u, lv, zero_term, ratios);
                 top.insert(v, s);
                 bounds.observe(s);
                 tally.scored += 1;
@@ -1091,17 +1171,18 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                     let min_ub = rare_min + u_hot_wsum.min(hot.hot_wsums[lv]);
                     let wunion_lb = u_wsum + self.weight_sums[v] - min_ub;
                     let s_attr_ub = inter as f64 / union as f64 + min_ub as f64 / wunion_lb as f64;
-                    if self.struct_bound + w.c3 * s_attr_ub < floor {
-                        tally.pruned += 1;
+                    let attr_ub = w.c3 * s_attr_ub;
+                    if self.below_floor(u, lv, attr_ub, floor, &mut ratios) {
+                        tally.pruned_before_merge += 1;
                         continue;
                     }
                     if self.margin > 0.0 {
-                        if self.struct_bound + w.c3 * s_attr_ub < floor + self.margin {
+                        if self.struct_bound + attr_ub < floor + self.margin {
                             tally.skipped += 1;
                             continue;
                         }
                         let c = *ceil.get_or_insert_with(|| self.band_ceiling(u, lv));
-                        if c + w.c3 * s_attr_ub < floor + self.margin {
+                        if c + attr_ub < floor + self.margin {
                             tally.skipped += 1;
                             continue;
                         }
@@ -1109,14 +1190,12 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                 }
             }
 
-            // Exact hot merge: O(|v's hot row|) against u's dense table.
-            let mut min_sum = rare_min;
-            for i in hot.starts[lv]..hot.starts[lv + 1] {
-                let wu = scratch.u_hot[hot.slots[i] as usize];
-                if wu != 0 {
-                    min_sum += u64::from(wu.min(hot.weights[i]));
-                }
-            }
+            // Exact hot merge: a branch-free `Σ min` over v's dense row
+            // against u's dense table (0 in the slots u lacks).
+            let row = &hot.rows[lv * n_hot..(lv + 1) * n_hot];
+            let hot_min: u64 =
+                row.iter().zip(&scratch.u_hot).map(|(&a, &b)| u64::from(a.min(b))).sum();
+            let min_sum = rare_min + hot_min;
             let wunion = u_wsum + self.weight_sums[v] - min_sum;
             // Same integers, same divisions, same addition order as
             // `UserAttributes::jaccard + weighted_jaccard`.
@@ -1124,8 +1203,8 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             let attr_term = w.c3 * s_attr;
             if self.prune {
                 if let Some(floor) = top.floor() {
-                    if self.struct_bound + attr_term < floor {
-                        tally.pruned += 1;
+                    if self.below_floor(u, lv, attr_term, floor, &mut ratios) {
+                        tally.pruned_after_merge += 1;
                         continue;
                     }
                     if self.margin > 0.0 {
@@ -1141,9 +1220,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                     }
                 }
             }
-            let s = (w.c1 * self.sim.degree_similarity(u, lv)
-                + w.c2 * self.sim.distance_similarity(u, lv))
-                + attr_term;
+            let s = self.score(u, lv, attr_term, ratios);
             top.insert(v, s);
             bounds.observe(s);
             tally.scored += 1;
@@ -1352,7 +1429,8 @@ mod tests {
         ] {
             let sim = SimilarityEngine::new(&anon, &aux, weights, 3);
             let index = sim.attribute_index();
-            let scorer = IndexedScorer::new(&sim, &index, 0, false);
+            let hot = HotAttrs::build(&index, 0);
+            let scorer = IndexedScorer::new(&sim, &index, &hot, false);
             let mut scratch = scorer.scratch();
             for u in 0..sim.n_anon() {
                 let mut top = BoundedTopK::new(4);
@@ -1361,7 +1439,7 @@ mod tests {
                 let (dense, n_present) = dense_topk(&sim, u, 4);
                 let sparse = top.into_sorted_entries();
                 assert_eq!(tally.scored, n_present as u64);
-                assert_eq!(tally.pruned, 0);
+                assert_eq!(tally.pruned(), 0);
                 assert_eq!(sparse.len(), dense.len());
                 for (a, b) in sparse.iter().zip(&dense) {
                     assert_eq!(a.0, b.0, "candidate diverges for u={u}");
@@ -1376,7 +1454,8 @@ mod tests {
         let (anon, aux) = sides();
         let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
         let index = sim.attribute_index();
-        let pruned_scorer = IndexedScorer::new(&sim, &index, 0, true);
+        let hot = HotAttrs::build(&index, 0);
+        let pruned_scorer = IndexedScorer::new(&sim, &index, &hot, true);
         assert!(pruned_scorer.prunes());
         let mut scratch = pruned_scorer.scratch();
         let mut total = PairTally::default();
@@ -1386,7 +1465,7 @@ mod tests {
             let tally = pruned_scorer.score_user(u, &mut scratch, &mut top, &mut bounds);
             total += tally;
             let (dense, n_present) = dense_topk(&sim, u, 2);
-            assert_eq!(tally.scored + tally.pruned, n_present as u64, "every pair accounted");
+            assert_eq!(tally.scored + tally.pruned(), n_present as u64, "every pair accounted");
             let sparse = top.into_sorted_entries();
             for (a, b) in sparse.iter().zip(&dense) {
                 assert_eq!(a.0, b.0);
@@ -1401,13 +1480,14 @@ mod tests {
         let (anon, aux) = sides();
         let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
         let index = sim.attribute_index();
-        let scorer = IndexedScorer::new(&sim, &index, 0, true);
+        let hot = HotAttrs::build(&index, 0);
+        let scorer = IndexedScorer::new(&sim, &index, &hot, true);
         let mut scratch = scorer.scratch();
         let mut top = BoundedTopK::new(0);
         let mut bounds = ScoreBounds::new();
         let tally = scorer.score_user(0, &mut scratch, &mut top, &mut bounds);
         assert_eq!(tally.scored, 0);
-        assert!(tally.pruned > 0);
+        assert!(tally.pruned() > 0);
         assert!(bounds.is_empty());
     }
 
@@ -1421,7 +1501,8 @@ mod tests {
         let from = index.n_users();
         index.append_uda(&aux);
         let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
-        let scorer = IndexedScorer::new(&sim, &index, from, false);
+        let hot = HotAttrs::build(&index, from);
+        let scorer = IndexedScorer::new(&sim, &index, &hot, false);
         let mut scratch = scorer.scratch();
         for u in 0..sim.n_anon() {
             let mut top = BoundedTopK::new(10);
@@ -1446,7 +1527,8 @@ mod tests {
         let (anon, aux) = sides();
         let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
         let index = sim.attribute_index();
-        let scorer = IndexedScorer::new(&sim, &index, 0, false);
+        let hot = HotAttrs::build(&index, 0);
+        let scorer = IndexedScorer::new(&sim, &index, &hot, false);
         let mut shared = scorer.scratch();
         // Scoring u = 0 twice with the same scratch must give identical
         // results (a dirty scratch would double the accumulators).
@@ -1467,6 +1549,6 @@ mod tests {
         let (anon, aux) = sides();
         let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
         let index = sim.attribute_index();
-        let _ = IndexedScorer::new(&sim, &index, 1, false);
+        let _ = IndexedScorer::new(&sim, &index, &HotAttrs::build(&index, 1), false);
     }
 }

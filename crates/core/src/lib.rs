@@ -36,12 +36,14 @@ pub mod uda;
 pub use arena::{ArenaCastError, ArenaView};
 pub use attack::{stylometry_baseline, AttackConfig, AttackOutcome, DeHealth, Evaluation};
 pub use filter::{FilterConfig, Filtered, ScoreBounds};
-pub use index::{AttributeIndex, IndexScratch, IndexedScorer, PairTally, PostingsRef};
+pub use index::{
+    AttributeIndex, AuxScoringState, HotAttrs, IndexScratch, IndexedScorer, PairTally, PostingsRef,
+};
 pub use quant::{QuantizedContext, QuantizedRows};
 pub use refined::{
     refine_user, refine_user_shared, refine_user_shared_quantized, ClassifierKind, RefinedConfig,
     RefinedContext, RefinedScratch, Side, Verification,
 };
-pub use similarity::{SimilarityEngine, SimilarityWeights};
+pub use similarity::{SimilarityEngine, SimilarityWeights, StructuralState};
 pub use topk::{BoundedTopK, Selection};
 pub use uda::UdaGraph;

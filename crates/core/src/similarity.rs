@@ -8,6 +8,15 @@
 //!   cos(WH_u(S1), WH_v(S2))` over landmark closeness vectors;
 //! - `s^a` (attribute similarity): Jaccard plus weighted Jaccard of the
 //!   user attribute sets.
+//!
+//! The per-user inputs of `s^d` and `s^s` — degrees, weighted degrees,
+//! NCS and landmark-closeness vectors and their Euclidean norms — live in
+//! one [`StructuralState`] per side, computed once. An auxiliary side's
+//! state does not depend on the anonymized side, so a standing corpus
+//! builds it once and lends it to every attack
+//! ([`SimilarityEngine::with_aux_state`]).
+
+use std::borrow::Cow;
 
 use crate::uda::UdaGraph;
 
@@ -27,6 +36,24 @@ pub struct SimilarityWeights {
 impl Default for SimilarityWeights {
     fn default() -> Self {
         Self { c1: 0.05, c2: 0.05, c3: 0.9 }
+    }
+}
+
+impl SimilarityWeights {
+    /// Upper bound on a pair's structural term `c1·s^d + c2·s^s` given
+    /// its degree ratios `d + wd` ([`SimilarityEngine::degree_ratios`]):
+    /// `c1·(d + wd + 1) + c2·2`, every cosine at its clamp of 1. `f64`
+    /// addition and multiplication by a non-negative weight are
+    /// monotone, so with the score's own association this is never below
+    /// the rounded term. The structural vectors (edge weights, landmark
+    /// closeness) are non-negative, so every cosine lies in `[0, 1]` and
+    /// a negative weight contributes its maximum, 0.
+    /// At `degree_ratios = 2` (the ratios' own cap) it is the global
+    /// structural bound `c1·3 + c2·2`.
+    pub(crate) fn structural_ceiling(&self, degree_ratios: f64) -> f64 {
+        let td = if self.c1 >= 0.0 { self.c1 * (degree_ratios + 1.0) } else { 0.0 };
+        let ts = if self.c2 >= 0.0 { self.c2 * 2.0 } else { 0.0 };
+        td + ts
     }
 }
 
@@ -52,13 +79,18 @@ fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Euclidean norm, summed in the order [`padded_cosine`] sums it.
+fn norm(a: &[f64]) -> f64 {
+    a.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
 /// Cosine of two equal-or-different length vectors, zero-padding the
 /// shorter one (the paper: "we pad the short vector with zeros").
 ///
 /// Clamped to at most 1.0: rounding can push `dot / (na·nb)` a few ulps
 /// past 1 for near-parallel vectors, and the indexed scorer's pruning
-/// bound ([`crate::index`]) relies on `s^d ≤ 3` / `s^s ≤ 2` holding
-/// *exactly* in `f64` arithmetic.
+/// bounds ([`crate::index`]) rely on every cosine being `≤ 1` *exactly*
+/// in `f64` arithmetic.
 #[must_use]
 pub fn padded_cosine(a: &[f64], b: &[f64]) -> f64 {
     let dot: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
@@ -71,6 +103,118 @@ pub fn padded_cosine(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// [`padded_cosine`] with both norms supplied (as computed by [`norm`]):
+/// the same `f64` operations in the same order, so the result is bit for
+/// bit the same (pinned by a property test), minus the two norm sums.
+fn normed_cosine(a: &[f64], na: f64, b: &[f64], nb: f64) -> f64 {
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    let dot: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
+    (dot / (na * nb)).min(1.0)
+}
+
+/// Variable-length `f64` rows in one contiguous arena, each with its
+/// Euclidean norm.
+#[derive(Debug, Clone)]
+struct NormedRows {
+    values: Vec<f64>,
+    /// Row `i` is `values[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    norms: Vec<f64>,
+}
+
+impl NormedRows {
+    fn from_rows(rows: impl IntoIterator<Item = Vec<f64>>) -> Self {
+        let mut out = Self { values: Vec::new(), starts: vec![0], norms: Vec::new() };
+        for row in rows {
+            out.norms.push(norm(&row));
+            out.values.extend_from_slice(&row);
+            out.starts.push(out.values.len());
+        }
+        out
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.values[self.starts[i]..self.starts[i + 1]]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        self.starts.windows(2).map(|w| &self.values[w[0]..w[1]])
+    }
+
+    /// [`padded_cosine`] of `self[i]` and `other[j]` off the cached norms.
+    fn cosine(&self, i: usize, other: &Self, j: usize) -> f64 {
+        normed_cosine(self.row(i), self.norms[i], other.row(j), other.norms[j])
+    }
+}
+
+/// The per-user structural inputs of one side of the similarity: degrees
+/// and weighted degrees, NCS vectors, and landmark-closeness vectors
+/// against that side's own `n_landmarks` landmarks — each vector stored
+/// in a flat arena next to its Euclidean norm.
+///
+/// Built once per side ([`Self::build`]); nothing in it depends on the
+/// other side, the similarity weights, or any request, so a standing
+/// auxiliary corpus builds its state once per landmark count.
+#[derive(Debug, Clone)]
+pub struct StructuralState {
+    n_landmarks: usize,
+    degrees: Vec<f64>,
+    weighted_degrees: Vec<f64>,
+    ncs: NormedRows,
+    hops: NormedRows,
+    whops: NormedRows,
+}
+
+impl StructuralState {
+    /// Select `n_landmarks` landmarks of `uda` and precompute every
+    /// user's degrees, NCS and landmark-closeness vectors and norms.
+    #[must_use]
+    pub fn build(uda: &UdaGraph, n_landmarks: usize) -> Self {
+        let landmarks = uda.landmarks(n_landmarks);
+        let (hops, whops) = uda.landmark_closeness(&landmarks);
+        let graph = &uda.graph;
+        let n = uda.n_users();
+        Self {
+            n_landmarks,
+            degrees: (0..n).map(|u| graph.degree(u) as f64).collect(),
+            weighted_degrees: (0..n).map(|u| graph.weighted_degree(u)).collect(),
+            ncs: NormedRows::from_rows((0..n).map(|u| graph.ncs_vector(u))),
+            hops: NormedRows::from_rows(hops),
+            whops: NormedRows::from_rows(whops),
+        }
+    }
+
+    /// Number of users covered.
+    #[must_use]
+    pub fn n_users(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// The landmark count this state was built for.
+    #[must_use]
+    pub fn n_landmarks(&self) -> usize {
+        self.n_landmarks
+    }
+
+    /// `min/max(d) + min/max(wd)` of user `u` here and `v` in `other`.
+    fn degree_ratios(&self, u: usize, other: &Self, v: usize) -> f64 {
+        ratio(self.degrees[u], other.degrees[v])
+            + ratio(self.weighted_degrees[u], other.weighted_degrees[v])
+    }
+
+    /// `cos(D_u, D_v)`.
+    fn ncs_cosine(&self, u: usize, other: &Self, v: usize) -> f64 {
+        self.ncs.cosine(u, &other.ncs, v)
+    }
+
+    /// `s^s_uv = cos(H_u, H_v) + cos(WH_u, WH_v)`.
+    fn distance_similarity(&self, u: usize, other: &Self, v: usize) -> f64 {
+        self.hops.cosine(u, &other.hops, v) + self.whops.cosine(u, &other.whops, v)
+    }
+}
+
 /// Pairwise similarity engine between an anonymized and an auxiliary UDA
 /// graph.
 #[derive(Debug)]
@@ -78,17 +222,13 @@ pub struct SimilarityEngine<'a> {
     anon: &'a UdaGraph,
     aux: &'a UdaGraph,
     weights: SimilarityWeights,
-    anon_ncs: Vec<Vec<f64>>,
-    aux_ncs: Vec<Vec<f64>>,
-    anon_hops: Vec<Vec<f64>>,
-    anon_whops: Vec<Vec<f64>>,
-    aux_hops: Vec<Vec<f64>>,
-    aux_whops: Vec<Vec<f64>>,
+    anon_state: StructuralState,
+    aux_state: Cow<'a, StructuralState>,
 }
 
 impl<'a> SimilarityEngine<'a> {
     /// Prepare the engine: select `n_landmarks` landmarks on each side and
-    /// precompute NCS and landmark-closeness vectors.
+    /// precompute both sides' [`StructuralState`]s.
     #[must_use]
     pub fn new(
         anon: &'a UdaGraph,
@@ -96,28 +236,60 @@ impl<'a> SimilarityEngine<'a> {
         weights: SimilarityWeights,
         n_landmarks: usize,
     ) -> Self {
-        let anon_lms = anon.landmarks(n_landmarks);
-        let aux_lms = aux.landmarks(n_landmarks);
-        let (anon_hops, anon_whops) = anon.landmark_closeness(&anon_lms);
-        let (aux_hops, aux_whops) = aux.landmark_closeness(&aux_lms);
-        let anon_ncs = (0..anon.n_users()).map(|u| anon.graph.ncs_vector(u)).collect();
-        let aux_ncs = (0..aux.n_users()).map(|u| aux.graph.ncs_vector(u)).collect();
-        Self { anon, aux, weights, anon_ncs, aux_ncs, anon_hops, anon_whops, aux_hops, aux_whops }
+        let aux_state = Cow::Owned(StructuralState::build(aux, n_landmarks));
+        Self::with_state(anon, aux, weights, aux_state)
+    }
+
+    /// Prepare the engine against an auxiliary side whose
+    /// [`StructuralState`] was built beforehand (with
+    /// [`StructuralState::build`] over `aux`): only the anonymized side is
+    /// computed, with `aux_state`'s landmark count. Scores are bit-identical
+    /// to [`Self::new`] with that landmark count.
+    ///
+    /// # Panics
+    /// Panics if `aux_state` does not cover `aux`'s users.
+    #[must_use]
+    pub fn with_aux_state(
+        anon: &'a UdaGraph,
+        aux: &'a UdaGraph,
+        weights: SimilarityWeights,
+        aux_state: &'a StructuralState,
+    ) -> Self {
+        assert_eq!(aux_state.n_users(), aux.n_users(), "structural state does not cover aux");
+        Self::with_state(anon, aux, weights, Cow::Borrowed(aux_state))
+    }
+
+    fn with_state(
+        anon: &'a UdaGraph,
+        aux: &'a UdaGraph,
+        weights: SimilarityWeights,
+        aux_state: Cow<'a, StructuralState>,
+    ) -> Self {
+        let anon_state = StructuralState::build(anon, aux_state.n_landmarks());
+        Self { anon, aux, weights, anon_state, aux_state }
+    }
+
+    /// The degree-ratio part `min/max(d) + min/max(wd) ∈ [0, 2]` of
+    /// [`Self::degree_similarity`], which adds the NCS cosine to it.
+    pub(crate) fn degree_ratios(&self, u: usize, v: usize) -> f64 {
+        self.anon_state.degree_ratios(u, &self.aux_state, v)
+    }
+
+    /// NCS cosine `cos(D_u, D_v) ∈ [0, 1]`.
+    pub(crate) fn ncs_cosine(&self, u: usize, v: usize) -> f64 {
+        self.anon_state.ncs_cosine(u, &self.aux_state, v)
     }
 
     /// Degree similarity `s^d_uv ∈ [0, 3]`.
     #[must_use]
     pub fn degree_similarity(&self, u: usize, v: usize) -> f64 {
-        let d = ratio(self.anon.graph.degree(u) as f64, self.aux.graph.degree(v) as f64);
-        let wd = ratio(self.anon.graph.weighted_degree(u), self.aux.graph.weighted_degree(v));
-        d + wd + padded_cosine(&self.anon_ncs[u], &self.aux_ncs[v])
+        self.degree_ratios(u, v) + self.ncs_cosine(u, v)
     }
 
     /// Distance similarity `s^s_uv ∈ [0, 2]`.
     #[must_use]
     pub fn distance_similarity(&self, u: usize, v: usize) -> f64 {
-        padded_cosine(&self.anon_hops[u], &self.aux_hops[v])
-            + padded_cosine(&self.anon_whops[u], &self.aux_whops[v])
+        self.anon_state.distance_similarity(u, &self.aux_state, v)
     }
 
     /// Attribute similarity `s^a_uv ∈ [0, 2]`.
@@ -180,31 +352,25 @@ impl<'a> SimilarityEngine<'a> {
     /// margin prescreen reads it; the exact scoring paths never do.
     #[must_use]
     pub fn quantized_structural(&self) -> QuantizedStructural {
-        let hops_dim = [&self.anon_hops, &self.aux_hops, &self.anon_whops, &self.aux_whops]
+        let (a, b) = (&self.anon_state, &*self.aux_state);
+        let hops_dim = [&a.hops, &b.hops, &a.whops, &b.whops]
             .iter()
-            .map(|rows| rows.first().map_or(0, Vec::len))
+            .map(|rows| rows.rows().next().map_or(0, <[f64]>::len))
             .max()
             .unwrap_or(0);
-        let degrees = |uda: &UdaGraph| -> (Vec<f64>, Vec<f64>) {
-            (0..uda.n_users())
-                .map(|u| (uda.graph.degree(u) as f64, uda.graph.weighted_degree(u)))
-                .unzip()
-        };
-        let (anon_deg, anon_wdeg) = degrees(self.anon);
-        let (aux_deg, aux_wdeg) = degrees(self.aux);
         QuantizedStructural {
             c1: self.weights.c1,
             c2: self.weights.c2,
-            anon_deg,
-            anon_wdeg,
-            aux_deg,
-            aux_wdeg,
-            anon_ncs: QuantizedFamily::from_rows(&self.anon_ncs, NCS_PREFIX),
-            aux_ncs: QuantizedFamily::from_rows(&self.aux_ncs, NCS_PREFIX),
-            anon_hops: QuantizedFamily::from_rows(&self.anon_hops, hops_dim),
-            aux_hops: QuantizedFamily::from_rows(&self.aux_hops, hops_dim),
-            anon_whops: QuantizedFamily::from_rows(&self.anon_whops, hops_dim),
-            aux_whops: QuantizedFamily::from_rows(&self.aux_whops, hops_dim),
+            anon_deg: a.degrees.clone(),
+            anon_wdeg: a.weighted_degrees.clone(),
+            aux_deg: b.degrees.clone(),
+            aux_wdeg: b.weighted_degrees.clone(),
+            anon_ncs: QuantizedFamily::from_rows(&a.ncs, NCS_PREFIX),
+            aux_ncs: QuantizedFamily::from_rows(&b.ncs, NCS_PREFIX),
+            anon_hops: QuantizedFamily::from_rows(&a.hops, hops_dim),
+            aux_hops: QuantizedFamily::from_rows(&b.hops, hops_dim),
+            anon_whops: QuantizedFamily::from_rows(&a.whops, hops_dim),
+            aux_whops: QuantizedFamily::from_rows(&b.whops, hops_dim),
         }
     }
 
@@ -295,11 +461,12 @@ struct QuantizedFamily {
 }
 
 impl QuantizedFamily {
-    fn from_rows(rows: &[Vec<f64>], dim: usize) -> Self {
-        let mut codes = vec![0u8; rows.len() * dim];
-        let mut norms = vec![0.0; rows.len()];
-        let mut tails = vec![0.0; rows.len()];
-        for (i, row) in rows.iter().enumerate() {
+    fn from_rows(rows: &NormedRows, dim: usize) -> Self {
+        let n = rows.norms.len();
+        let mut codes = vec![0u8; n * dim];
+        let mut norms = vec![0.0; n];
+        let mut tails = vec![0.0; n];
+        for (i, row) in rows.rows().enumerate() {
             let max = row.iter().copied().fold(0.0_f64, f64::max);
             if max <= 0.0 {
                 continue;
@@ -391,6 +558,8 @@ impl QuantizedStructural {
 mod tests {
     use super::*;
     use dehealth_corpus::{Forum, Post};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn uda(posts: Vec<Post>, n_users: usize, n_threads: usize) -> UdaGraph {
         UdaGraph::build(&Forum::from_posts(n_users, n_threads, posts))
@@ -423,6 +592,115 @@ mod tests {
         assert!(padded_cosine(&a, &a) <= 1.0);
         let b: Vec<f64> = a.iter().map(|x| x * 3.000000000000001).collect();
         assert!(padded_cosine(&a, &b) <= 1.0);
+    }
+
+    /// A random vector for the property tests: empty, all-zero, small
+    /// integers (edge-weight-like), signed floats, or closeness-like
+    /// values in (0, 1], with a random length.
+    fn random_vector(rng: &mut StdRng) -> Vec<f64> {
+        let len = rng.gen_range(0..9usize);
+        match rng.gen_range(0..5u32) {
+            0 => Vec::new(),
+            1 => vec![0.0; len],
+            2 => (0..len).map(|_| f64::from(rng.gen_range(1..6u32))).collect(),
+            3 => (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+            _ => (0..len).map(|_| 1.0 / (1.0 + f64::from(rng.gen_range(0..5u32)))).collect(),
+        }
+    }
+
+    /// `b`, or a near-parallel rescaling of `a` (where the cosine clamp
+    /// bites), or a truncation of `a` (unequal lengths, shared prefix).
+    fn partner(rng: &mut StdRng, a: &[f64], b: Vec<f64>) -> Vec<f64> {
+        match rng.gen_range(0..4u32) {
+            0 => a.iter().map(|x| x * 3.000000000000001).collect(),
+            1 => a[..rng.gen_range(0..=a.len())].to_vec(),
+            _ => b,
+        }
+    }
+
+    #[test]
+    fn normed_cosine_matches_padded_cosine_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_c051);
+        for case in 0..5000 {
+            let a = random_vector(&mut rng);
+            let b = random_vector(&mut rng);
+            let b = partner(&mut rng, &a, b);
+            let reference = padded_cosine(&a, &b);
+            assert!(reference <= 1.0);
+            let cached = normed_cosine(&a, norm(&a), &b, norm(&b));
+            assert_eq!(cached.to_bits(), reference.to_bits(), "case {case}: {a:?} vs {b:?}");
+            // The arena path answers from its stored norms.
+            let rows = NormedRows::from_rows([a.clone(), b.clone()]);
+            assert_eq!(rows.cosine(0, &rows, 1).to_bits(), reference.to_bits(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn structural_ceiling_never_undercuts_the_score() {
+        const WEIGHTS: [f64; 7] = [-0.7, -0.05, -0.0, 0.0, 0.05, 0.3, 1.0];
+        let mut rng = StdRng::seed_from_u64(0xce11_1ae5);
+        let pick = |rng: &mut StdRng| WEIGHTS[rng.gen_range(0..WEIGHTS.len())];
+        for case in 0..5000 {
+            let w =
+                SimilarityWeights { c1: pick(&mut rng), c2: pick(&mut rng), c3: pick(&mut rng) };
+            // One user per side, with random degrees and vectors. Edge
+            // weights and closeness values are never negative, so neither
+            // are the structural vectors nor, hence, their cosines.
+            let side = |rng: &mut StdRng| {
+                let degree = f64::from(rng.gen_range(0..4u32));
+                let weighted = if degree == 0.0 { 0.0 } else { degree * rng.gen_range(1.0..3.0) };
+                let mut nonneg =
+                    || random_vector(rng).into_iter().map(f64::abs).collect::<Vec<_>>();
+                (degree, weighted, nonneg(), nonneg(), nonneg())
+            };
+            let (da, wa, na, ha, wha) = side(&mut rng);
+            let (db, wb, nb, hb, whb) = side(&mut rng);
+            let (nb, hb, whb) = (
+                partner(&mut rng, &na, nb),
+                partner(&mut rng, &ha, hb),
+                partner(&mut rng, &wha, whb),
+            );
+            let state =
+                |d: f64, wd: f64, ncs: Vec<f64>, hops: Vec<f64>, whops: Vec<f64>| StructuralState {
+                    n_landmarks: hops.len(),
+                    degrees: vec![d],
+                    weighted_degrees: vec![wd],
+                    ncs: NormedRows::from_rows([ncs]),
+                    hops: NormedRows::from_rows([hops]),
+                    whops: NormedRows::from_rows([whops]),
+                };
+            let (a, b) = (state(da, wa, na, ha, wha), state(db, wb, nb, hb, whb));
+            // An attribute similarity `inter/union + min/wunion` as the
+            // scorer forms it, in [0, 2].
+            let union = rng.gen_range(1..20u64);
+            let wunion = rng.gen_range(1..50u64);
+            let s_attr = rng.gen_range(0..=union) as f64 / union as f64
+                + rng.gen_range(0..=wunion) as f64 / wunion as f64;
+            // The score exactly as `SimilarityEngine::similarity` forms it.
+            let ratios = a.degree_ratios(0, &b, 0);
+            let s_d = ratios + a.ncs_cosine(0, &b, 0);
+            let s_s = a.distance_similarity(0, &b, 0);
+            let score = w.c1 * s_d + w.c2 * s_s + w.c3 * s_attr;
+            let ceiling = w.structural_ceiling(ratios) + w.c3 * s_attr;
+            assert!(ceiling >= score, "case {case}: ceiling {ceiling} < score {score} ({w:?})");
+            // The per-pair ceiling never exceeds the global one.
+            assert!(w.structural_ceiling(ratios) <= w.structural_ceiling(2.0), "case {case}");
+        }
+    }
+
+    #[test]
+    fn aux_state_engine_matches_build_everything_engine() {
+        let anon = uda(vec![p(0, 0, "a b c !!!"), p(1, 0, "1 2 3"), p(2, 1, "x y")], 3, 2);
+        let aux = uda(vec![p(0, 0, "x y z"), p(1, 0, "a b c"), p(2, 1, "q r s")], 4, 2);
+        let weights = SimilarityWeights::default();
+        let state = StructuralState::build(&aux, 2);
+        let lent = SimilarityEngine::with_aux_state(&anon, &aux, weights, &state);
+        let built = SimilarityEngine::new(&anon, &aux, weights, 2);
+        for u in 0..3 {
+            for v in 0..4 {
+                assert_eq!(lent.similarity(u, v).to_bits(), built.similarity(u, v).to_bits());
+            }
+        }
     }
 
     #[test]

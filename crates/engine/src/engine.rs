@@ -7,13 +7,13 @@ use std::collections::{HashMap, HashSet};
 
 use dehealth_core::attack::AttackConfig;
 use dehealth_core::filter::{filter_user, threshold_vector, Filtered, ScoreBounds};
-use dehealth_core::index::{AttributeIndex, IndexedScorer, PairTally};
+use dehealth_core::index::{AttributeIndex, AuxScoringState, HotAttrs, IndexedScorer, PairTally};
 use dehealth_core::quant::{QuantizedContext, QuantizedRows};
 use dehealth_core::refined::{
     refine_user, refine_user_shared, refine_user_shared_quantized, ClassifierKind, RefinedConfig,
     RefinedContext, RefinedScratch, Side,
 };
-use dehealth_core::similarity::SimilarityEngine;
+use dehealth_core::similarity::{SimilarityEngine, StructuralState};
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
 use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_corpus::{Forum, Post};
@@ -266,7 +266,9 @@ impl Engine {
         });
         report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
 
-        let sim = SimilarityEngine::new(&anon_uda, aux.uda, cfg.weights, cfg.n_landmarks);
+        let transient = transient_structures(aux, [cfg.n_landmarks]);
+        let structure = structure_for(aux, &transient, cfg.n_landmarks);
+        let sim = SimilarityEngine::with_aux_state(&anon_uda, aux.uda, cfg.weights, structure);
         let built_index = match (self.config.scoring, aux.index) {
             (ScoringMode::Indexed, None) => Some(AttributeIndex::from_uda(aux.uda)),
             _ => None,
@@ -275,9 +277,13 @@ impl Engine {
             ScoringMode::Indexed => aux.index.or(built_index.as_ref()),
             ScoringMode::Dense => None,
         };
+        let hot = index.map(|index| hot_attrs_for(aux, index));
+        let scorer = index
+            .zip(hot.as_deref())
+            .map(|(index, hot)| indexed_scorer(&self.config, cfg, &sim, index, hot));
         let mut heaps = vec![BoundedTopK::new(cfg.top_k); anonymized.n_users];
         let mut bounds = ScoreBounds::new();
-        topk_pass(&self.config, &sim, index, 0, &mut heaps, &mut bounds, &mut report);
+        topk_pass(&self.config, &sim, scorer.as_ref(), 0, &mut heaps, &mut bounds, &mut report);
 
         let anon_side = Side { forum: anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
@@ -309,8 +315,10 @@ impl Engine {
     /// *shared auxiliary artifacts* are fused. What the batch amortizes
     /// across requests:
     ///
-    /// - the [`AttributeIndex`] build when `aux` does not carry one
-    ///   (built once, probed by every request);
+    /// - the [`AttributeIndex`] and its [`HotAttrs`] when `aux` does not
+    ///   carry them (built once, probed by every request);
+    /// - the auxiliary [`StructuralState`] of each landmark count
+    ///   `aux.scoring` does not cover (built once per distinct count);
     /// - the auxiliary [`RefinedContext`] rebuild when `aux`'s is
     ///   missing or does not match a request's classifier (built once
     ///   per distinct classifier kind, shared read-only);
@@ -383,15 +391,18 @@ impl Engine {
             ScoringMode::Dense => None,
         };
 
+        let hot = index.map(|index| hot_attrs_for(aux, index));
+        let transient = transient_structures(aux, requests.iter().map(|r| r.attack.n_landmarks));
         let sims: Vec<SimilarityEngine<'_>> = requests
             .iter()
             .zip(&anon_prepared)
             .map(|(request, (_, anon_uda))| {
-                SimilarityEngine::new(
+                let structure = structure_for(aux, &transient, request.attack.n_landmarks);
+                SimilarityEngine::with_aux_state(
                     anon_uda,
                     aux.uda,
                     request.attack.weights,
-                    request.attack.n_landmarks,
+                    structure,
                 )
             })
             .collect();
@@ -399,13 +410,8 @@ impl Engine {
             .iter()
             .zip(&sims)
             .map(|(request, sim)| {
-                // Pruning per request, exactly as the solo path: off
-                // whenever that request's filtering needs exact bounds.
-                // The prescreen margin rides on pruning, as in `topk_pass`.
-                index.map(|index| {
-                    let prune = request.attack.filtering.is_none();
-                    let margin = if prune { self.config.exactness.margin() } else { 0.0 };
-                    IndexedScorer::new(sim, index, 0, prune).with_margin(margin)
+                index.zip(hot.as_deref()).map(|(index, hot)| {
+                    indexed_scorer(&self.config, &request.attack, sim, index, hot)
                 })
             })
             .collect();
@@ -474,9 +480,7 @@ impl Engine {
             }
         });
         for (report, tally) in reports.iter_mut().zip(&tallies) {
-            report.record("topk", "pairs", tally.scored, 0.0);
-            report.record_skipped("topk", "pairs", tally.pruned);
-            report.record_prescreen(tally.admitted, tally.skipped);
+            report.record_pairs(tally);
             // Batch-wide stage wall-clock (the fused pass is shared).
             report.record("topk", "pairs", 0, topk_secs);
         }
@@ -842,10 +846,16 @@ impl EngineSession<'_> {
         if let Some(index) = &mut self.index {
             index.append_uda(&chunk_uda);
         }
+        let hot = self.index.as_ref().map(|index| HotAttrs::build(index, user_offset));
+        let scorer = self
+            .index
+            .as_ref()
+            .zip(hot.as_ref())
+            .map(|(index, hot)| indexed_scorer(&self.config, cfg, &sim, index, hot));
         topk_pass(
             &self.config,
             &sim,
-            self.index.as_ref(),
+            scorer.as_ref(),
             user_offset,
             &mut self.heaps,
             &mut self.bounds,
@@ -947,48 +957,102 @@ pub struct PreparedAuxiliary<'a> {
     /// needs it, or when it does not match the context actually used).
     /// Ignored entirely in exact mode. May be owned or snapshot-borrowed.
     pub quantized: Option<&'a QuantizedContext>,
+    /// Pre-built auxiliary half of the Top-K scoring state: its
+    /// structural part serves requests with the same `n_landmarks`
+    /// (others get a transient build), and its hot-attribute tables
+    /// serve every request when they were built over `index`. Built per
+    /// call when `None`.
+    pub scoring: Option<&'a AuxScoringState>,
+}
+
+/// Transient auxiliary [`StructuralState`]s for the landmark counts in
+/// `counts` that `aux.scoring` does not cover, one per distinct count.
+fn transient_structures(
+    aux: &PreparedAuxiliary<'_>,
+    counts: impl IntoIterator<Item = usize>,
+) -> Vec<StructuralState> {
+    let mut built: Vec<StructuralState> = Vec::new();
+    for n in counts {
+        let prepared = aux.scoring.is_some_and(|s| s.n_landmarks() == n);
+        if !prepared && !built.iter().any(|s| s.n_landmarks() == n) {
+            built.push(StructuralState::build(aux.uda, n));
+        }
+    }
+    built
+}
+
+/// The auxiliary [`StructuralState`] for `n_landmarks`: the prepared one
+/// when it was built for that count, else its entry in `transient`.
+fn structure_for<'x>(
+    aux: &PreparedAuxiliary<'x>,
+    transient: &'x [StructuralState],
+    n_landmarks: usize,
+) -> &'x StructuralState {
+    match aux.scoring {
+        Some(s) if s.n_landmarks() == n_landmarks => s.structure(),
+        _ => transient
+            .iter()
+            .find(|s| s.n_landmarks() == n_landmarks)
+            .expect("transient_structures covers every count the prepared state does not"),
+    }
+}
+
+/// The hot-attribute tables over `index`: the prepared ones when
+/// `aux.scoring` is given and `index` is `aux.index` (the only index
+/// they can describe), else a fresh build.
+fn hot_attrs_for<'x>(aux: &PreparedAuxiliary<'x>, index: &'x AttributeIndex) -> Cow<'x, HotAttrs> {
+    match (aux.index, aux.scoring) {
+        (Some(prepared), Some(scoring)) if std::ptr::eq(prepared, index) => {
+            Cow::Borrowed(scoring.hot_attrs())
+        }
+        _ => Cow::Owned(HotAttrs::build(index, 0)),
+    }
+}
+
+/// The indexed scorer of one request. Pruning would hide the global
+/// score minimum from [`ScoreBounds`], which Algorithm-2 filtering
+/// thresholds against — so it is only enabled when the request
+/// configures no filtering. The margin prescreen piggybacks on pruning
+/// (it compares the same upper bound against the same floor), so it is
+/// inert without it.
+fn indexed_scorer<'e, 'i>(
+    config: &EngineConfig,
+    attack: &AttackConfig,
+    sim: &'e SimilarityEngine<'e>,
+    index: &'i AttributeIndex,
+    hot: &'i HotAttrs,
+) -> IndexedScorer<'e, 'i> {
+    let prune = attack.filtering.is_none();
+    let margin = if prune { config.exactness.margin() } else { 0.0 };
+    IndexedScorer::new(sim, index, hot, prune).with_margin(margin)
 }
 
 /// One Top-K scoring pass of `sim`'s full anonymized population against
 /// its auxiliary side, sharded over the worker pool — the shared core of
 /// [`EngineSession::add_auxiliary_users`] (where `from` is the session's
 /// pre-ingest watermark) and [`Engine::run_prepared`] (where `from` is
-/// 0). With an `index` the pass probes posting suffixes and prunes
-/// against each heap's floor; pruning stays off whenever Algorithm-2
-/// filtering needs exact global [`ScoreBounds`].
+/// 0). With a `scorer` the pass probes posting suffixes and prunes
+/// against each heap's floor (see [`indexed_scorer`]); without one it
+/// sweeps every pair.
 fn topk_pass(
     config: &EngineConfig,
     sim: &SimilarityEngine<'_>,
-    index: Option<&AttributeIndex>,
+    scorer: Option<&IndexedScorer<'_, '_>>,
     from: usize,
     heaps: &mut [BoundedTopK],
     bounds: &mut ScoreBounds,
     report: &mut EngineReport,
 ) {
-    // Pruning would hide the global score minimum from `bounds`, which
-    // Algorithm-2 filtering thresholds against — so it is only enabled
-    // when no filtering is configured.
-    let prune = config.attack.filtering.is_none();
-    // The margin prescreen piggybacks on pruning (it compares the same
-    // upper bound against the same floor), so it is inert without it.
-    let margin = if prune { config.exactness.margin() } else { 0.0 };
-    let scorer = index.map(|index| IndexedScorer::new(sim, index, from, prune).with_margin(margin));
     let ((), topk_secs) = timed(|| {
         let states = run_blocks(
             heaps,
             config.block_size,
             config.effective_threads(),
-            || {
-                (
-                    ScoreBounds::new(),
-                    PairTally::default(),
-                    scorer.as_ref().map(IndexedScorer::scratch),
-                )
-            },
+            || (ScoreBounds::new(), PairTally::default(), scorer.map(IndexedScorer::scratch)),
             |offset, block, (local_bounds, tally, scratch)| {
                 for (i, heap) in block.iter_mut().enumerate() {
                     let u = offset + i;
-                    if let (Some(scorer), Some(scratch)) = (&scorer, scratch.as_mut()) {
+                    if let (Some(scorer), Some(scratch)) = (scorer, scratch.as_mut()) {
                         *tally += scorer.score_user(u, scratch, heap, local_bounds);
                     } else {
                         for (v, s) in sim.scores_for(u) {
@@ -1005,9 +1069,7 @@ fn topk_pass(
             bounds.merge(local_bounds);
             total += local_tally;
         }
-        report.record("topk", "pairs", total.scored, 0.0);
-        report.record_skipped("topk", "pairs", total.pruned);
-        report.record_prescreen(total.admitted, total.skipped);
+        report.record_pairs(&total);
     });
     // Attribute the stage wall-clock once (items were counted above).
     report.record("topk", "pairs", 0, topk_secs);
@@ -1559,6 +1621,7 @@ mod tests {
                 index: ix,
                 context: ctx,
                 quantized: None,
+                scoring: None,
             };
             let out = engine.run_prepared(&prepared, &split.anonymized);
             assert_eq!(out.candidates, baseline.candidates);
@@ -1588,6 +1651,7 @@ mod tests {
             index: Some(&index),
             context: None,
             quantized: None,
+            scoring: None,
         };
         for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
             let engine = Engine::new(EngineConfig {
@@ -1641,6 +1705,7 @@ mod tests {
                 index: ix,
                 context,
                 quantized: None,
+                scoring: None,
             };
             for n_threads in [1, 2, 8] {
                 let engine = Engine::new(EngineConfig {
@@ -1698,6 +1763,7 @@ mod tests {
             index: None,
             context: None,
             quantized: None,
+            scoring: None,
         };
         let engine = Engine::new(EngineConfig::default());
         assert!(engine.run_prepared_batch(&prepared, &[]).is_empty());
@@ -1720,6 +1786,7 @@ mod tests {
             index: Some(&stale),
             context: None,
             quantized: None,
+            scoring: None,
         };
         let engine = Engine::new(EngineConfig::default());
         let _ = engine.run_prepared(&prepared, &split.anonymized);

@@ -75,11 +75,29 @@ pub struct EngineReport {
     pub stages: Vec<StageStats>,
     /// Approximate-tier decision counters (all zero in exact mode).
     pub prescreen: PrescreenTally,
+    /// Top-K pairs pruned on their pre-merge bound, before the
+    /// hot-attribute merge. With [`Self::topk_pruned_after_merge`] it
+    /// sums to the `topk` stage's `skipped` count.
+    pub topk_pruned_before_merge: u64,
+    /// Top-K pairs that paid the hot-attribute merge and were then
+    /// pruned.
+    pub topk_pruned_after_merge: u64,
 }
 
 impl EngineReport {
     pub(crate) fn new(n_threads: usize, block_size: usize) -> Self {
-        Self { n_threads, block_size, stages: Vec::new(), prescreen: PrescreenTally::default() }
+        Self { n_threads, block_size, ..Self::default() }
+    }
+
+    /// Accumulate one Top-K pass's pair counters: `scored` as the `topk`
+    /// stage's items, both pruned classes as its `skipped` and each on
+    /// its own field, and the prescreen decisions.
+    pub(crate) fn record_pairs(&mut self, tally: &dehealth_core::index::PairTally) {
+        self.record("topk", "pairs", tally.scored, 0.0);
+        self.record_skipped("topk", "pairs", tally.pruned());
+        self.topk_pruned_before_merge += tally.pruned_before_merge;
+        self.topk_pruned_after_merge += tally.pruned_after_merge;
+        self.record_prescreen(tally.admitted, tally.skipped);
     }
 
     /// Accumulate margin-prescreen decisions from the Top-K stage.
@@ -133,7 +151,8 @@ impl EngineReport {
     /// Feed this report into a metric registry: one
     /// `engine_stage_seconds{stage=…}` histogram sample plus
     /// `engine_stage_items_total` / `engine_stage_skipped_total` counter
-    /// increments per stage. The daemon calls this after every served
+    /// increments per stage, and `engine_topk_pairs_total{class=…}` per
+    /// Top-K pair class. The daemon calls this after every served
     /// attack, turning one-shot reports into per-stage latency
     /// distributions across requests.
     pub fn record_into(&self, registry: &dehealth_telemetry::Registry) {
@@ -142,6 +161,13 @@ impl EngineReport {
             registry.histogram_with("engine_stage_seconds", &labels).record_secs(s.seconds);
             registry.counter_with("engine_stage_items_total", &labels).add(s.items);
             registry.counter_with("engine_stage_skipped_total", &labels).add(s.skipped);
+        }
+        for (class, n) in [
+            ("scored", self.stage("topk").map_or(0, |t| t.items)),
+            ("pruned_before_merge", self.topk_pruned_before_merge),
+            ("pruned_after_merge", self.topk_pruned_after_merge),
+        ] {
+            registry.counter_with("engine_topk_pairs_total", &[("class", class)]).add(n);
         }
         let p = self.prescreen;
         for (outcome, n) in
@@ -170,6 +196,10 @@ impl std::fmt::Display for EngineReport {
                 write!(f, "  ({} {} pruned)", s.skipped, s.unit)?;
             }
             writeln!(f)?;
+        }
+        let (before, after) = (self.topk_pruned_before_merge, self.topk_pruned_after_merge);
+        if before + after > 0 {
+            writeln!(f, "  topk pruned {before} before merge, {after} after merge")?;
         }
         if !self.prescreen.is_empty() {
             let p = self.prescreen;
@@ -228,6 +258,28 @@ mod tests {
         // A skipped-only record creates the stage too.
         r.record_skipped("other", "users", 2);
         assert_eq!(r.stage("other").unwrap().skipped, 2);
+    }
+
+    #[test]
+    fn pair_classes_sum_to_the_stage_counts_and_reach_the_registry() {
+        let mut r = EngineReport::new(1, 8);
+        for (scored, before, after) in [(5, 30, 4), (2, 10, 1)] {
+            r.record_pairs(&dehealth_core::index::PairTally {
+                scored,
+                pruned_before_merge: before,
+                pruned_after_merge: after,
+                ..Default::default()
+            });
+        }
+        let topk = r.stage("topk").unwrap();
+        assert_eq!((topk.items, topk.skipped), (7, 45));
+        assert_eq!((r.topk_pruned_before_merge, r.topk_pruned_after_merge), (40, 5));
+        assert!(format!("{r}").contains("pruned 40 before merge, 5 after merge"));
+        let registry = dehealth_telemetry::Registry::new();
+        r.record_into(&registry);
+        let class = |c| registry.counter_with("engine_topk_pairs_total", &[("class", c)]).get();
+        assert_eq!((class("scored"), class("pruned_before_merge")), (7, 40));
+        assert_eq!(class("pruned_after_merge"), 5);
     }
 
     #[test]

@@ -42,11 +42,26 @@
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
 //! append_users`]) promotes borrowed arenas to owned copy-on-write.
+//!
+//! ## Scoring state
+//!
+//! The auxiliary half of the Top-K scoring state ([`AuxScoringState`]:
+//! landmark closeness, NCS vectors, norms, degrees, hot-attribute rows)
+//! depends on the corpus and the landmark count only. A corpus keeps one,
+//! built lazily on its first attack for the landmark count its caller
+//! configures (the engine's for [`PreparedCorpus::attack`] and
+//! [`PreparedCorpus::attack_batch`], the daemon's default for its solo
+//! requests, see [`PreparedCorpus::attack_with_state`]), and serves every
+//! later attack from it; attacks with another landmark count get a
+//! transient structural build from the engine. It is never persisted,
+//! and it is dropped by [`PreparedCorpus::append_users`] and not carried
+//! over by `clone`, so a mutated corpus never scores against stale rows.
 
 use std::path::Path;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use dehealth_core::index::AttributeIndex;
+use dehealth_core::index::{AttributeIndex, AuxScoringState};
 use dehealth_core::quant::QuantizedContext;
 use dehealth_core::refined::{ClassifierKind, RefinedContext, Side, N_STRUCT};
 use dehealth_core::snapshot::{decode_features, encode_features};
@@ -113,6 +128,21 @@ pub struct PreparedCorpus {
     /// built on demand ([`Self::ensure_quantized`]) or restored from a
     /// [`V3`] snapshot's `QCTX` section; invalidated by mutation.
     quantized: Option<QuantizedContext>,
+    /// Lazily built auxiliary scoring state (see the
+    /// [module docs](self#scoring-state)).
+    scoring: ScoringCache,
+}
+
+/// A corpus's lazily built [`AuxScoringState`]. Cloning yields an empty
+/// cache: a clone exists to be mutated (the daemon's copy-on-write
+/// ingest), and its state would go stale on the first append.
+#[derive(Debug, Default)]
+struct ScoringCache(OnceLock<AuxScoringState>);
+
+impl Clone for ScoringCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl PreparedCorpus {
@@ -145,7 +175,16 @@ impl PreparedCorpus {
             &Side { forum: &forum, uda: &uda, post_features: &features },
             classifier,
         );
-        Self { forum, features, uda, index, context, classifier, quantized: None }
+        Self {
+            forum,
+            features,
+            uda,
+            index,
+            context,
+            classifier,
+            quantized: None,
+            scoring: ScoringCache::default(),
+        }
     }
 
     /// The auxiliary forum.
@@ -226,7 +265,24 @@ impl PreparedCorpus {
             index: Some(&self.index),
             context: Some(&self.context),
             quantized: self.quantized.as_ref(),
+            scoring: None,
         }
+    }
+
+    /// The corpus's auxiliary scoring state, built for `n_landmarks` on
+    /// first use (concurrent first callers wait for one build). Once
+    /// built it is returned whatever `n_landmarks` asks for; the engine
+    /// builds a transient structural part for a mismatched count.
+    #[must_use]
+    pub fn scoring_state(&self, n_landmarks: usize) -> &AuxScoringState {
+        self.scoring.0.get_or_init(|| AuxScoringState::build(&self.uda, &self.index, n_landmarks))
+    }
+
+    /// The landmark count the scoring state was built for, or `None`
+    /// until an attack builds it.
+    #[must_use]
+    pub fn scoring_landmarks(&self) -> Option<usize> {
+        self.scoring.0.get().map(AuxScoringState::n_landmarks)
     }
 
     /// Ingest a chunk of **new** auxiliary users, mirroring
@@ -279,9 +335,11 @@ impl PreparedCorpus {
         self.forum = merged;
         self.features = features;
         self.uda = uda;
-        // The quantization grid was fit to the pre-append arena; drop it
-        // rather than serve codes from a stale grid.
+        // The quantization grid was fit to the pre-append arena, and the
+        // scoring state to the pre-append users; drop both rather than
+        // serve stale rows.
         self.quantized = None;
+        self.scoring = ScoringCache::default();
     }
 
     /// Serialize into current-version aligned snapshot bytes (sections:
@@ -438,7 +496,16 @@ impl PreparedCorpus {
         let classifier =
             if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
         debug_assert!(context.matches_classifier(classifier));
-        Ok(Self { forum, features, uda, index, context, classifier, quantized })
+        Ok(Self {
+            forum,
+            features,
+            uda,
+            index,
+            context,
+            classifier,
+            quantized,
+            scoring: ScoringCache::default(),
+        })
     }
 
     /// Read and restore a snapshot file, eagerly and fully owned
@@ -527,25 +594,56 @@ impl PreparedCorpus {
         MemoryStats { resident_arena_bytes: ir + cr, borrowed_arena_bytes: ib + cb }
     }
 
-    /// Run one attack against this corpus through `engine` — convenience
-    /// for [`Engine::run_prepared`] on [`Self::prepared`].
+    /// Run one attack against this corpus through `engine` —
+    /// [`Engine::run_prepared`] on [`Self::prepared`] plus the corpus's
+    /// [scoring state](Self::scoring_state), built for the engine's
+    /// `n_landmarks` if this is the corpus's first attack.
     #[must_use]
     pub fn attack(&self, engine: &Engine, anonymized: &Forum) -> dehealth_engine::EngineOutcome {
-        engine.run_prepared(&self.prepared(), anonymized)
+        self.attack_with_state(engine, anonymized, engine.config().attack.n_landmarks)
+    }
+
+    /// [`Self::attack`] with the scoring state built for
+    /// `state_landmarks` rather than the engine's count, for callers
+    /// whose engine carries one request's override: the daemon passes
+    /// its configured count, so a first request with another count does
+    /// not tie the corpus's state to that count. The engine builds a
+    /// transient structural part when its count differs.
+    #[must_use]
+    pub fn attack_with_state(
+        &self,
+        engine: &Engine,
+        anonymized: &Forum,
+        state_landmarks: usize,
+    ) -> dehealth_engine::EngineOutcome {
+        let scoring = self.scoring_state(state_landmarks);
+        engine.run_prepared(
+            &PreparedAuxiliary { scoring: Some(scoring), ..self.prepared() },
+            anonymized,
+        )
     }
 
     /// Run a coalesced batch of attacks against this corpus in one
     /// fused engine pass
     /// ([`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch)):
-    /// the prepared index and refined context are shared across every
-    /// request, while each request's results stay bit-identical to a
-    /// solo [`PreparedCorpus::attack`].
+    /// the prepared index, refined context and scoring state are shared
+    /// across every request, while each request's results stay
+    /// bit-identical to a solo [`PreparedCorpus::attack`]. A first batch
+    /// builds the scoring state for the engine's configured
+    /// `n_landmarks`, whatever its requests override.
     pub fn attack_batch(
         &self,
         engine: &Engine,
         requests: &[dehealth_engine::BatchRequest<'_>],
     ) -> Vec<dehealth_engine::EngineOutcome> {
-        engine.run_prepared_batch(&self.prepared(), requests)
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        let scoring = self.scoring_state(engine.config().attack.n_landmarks);
+        engine.run_prepared_batch(
+            &PreparedAuxiliary { scoring: Some(scoring), ..self.prepared() },
+            requests,
+        )
     }
 }
 

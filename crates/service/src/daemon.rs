@@ -1734,7 +1734,9 @@ fn run_attack_job(
             exactness,
             ..state.config.clone()
         });
-        vec![corpus.attack(&engine, &item.forum)]
+        // The corpus keeps its scoring state at the daemon's configured
+        // landmark count, whatever this request overrides.
+        vec![corpus.attack_with_state(&engine, &item.forum, state.config.attack.n_landmarks)]
     } else {
         let engine =
             Engine::new(EngineConfig { n_threads: threads, exactness, ..state.config.clone() });
@@ -2087,5 +2089,34 @@ mod tests {
         }
         swapper.join().unwrap();
         assert_eq!(state.metrics.corpus_users.get(), state.corpus().unwrap().n_users() as i64);
+    }
+
+    /// A first request overriding `n_landmarks` must not tie the
+    /// corpus's scoring state to its count: the state is built for the
+    /// daemon's configured count, which later default requests reuse.
+    #[test]
+    fn scoring_state_is_built_for_the_configured_landmark_count() {
+        use crate::client::ServiceClient;
+        use crate::protocol::AttackOptions;
+        use dehealth_corpus::split::{closed_world_split, SplitConfig};
+
+        let forum = Forum::generate(&ForumConfig::tiny(), 42);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+        let config = default_config();
+        let configured = config.attack.n_landmarks;
+        let corpus = PreparedCorpus::build(split.auxiliary, config.attack.classifier);
+        let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
+        let scoring_landmarks = || daemon.state.corpus().unwrap().scoring_landmarks();
+        assert_eq!(scoring_landmarks(), None, "built on the first attack, not on bind");
+
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        let other = AttackOptions { n_landmarks: Some(configured + 3), ..AttackOptions::default() };
+        client.attack(&split.anonymized, &other).unwrap();
+        assert_eq!(scoring_landmarks(), Some(configured));
+        client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
+        assert_eq!(scoring_landmarks(), Some(configured));
+
+        client.shutdown().unwrap();
+        daemon.join();
     }
 }

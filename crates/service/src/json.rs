@@ -76,7 +76,7 @@ impl Json {
     /// # Errors
     /// A [`JsonError`] describing the first malformed byte.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: s.as_bytes(), at: 0 };
+        let mut p = Parser { text: s, bytes: s.as_bytes(), at: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -218,6 +218,8 @@ fn emit_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes.
     bytes: &'a [u8],
     at: usize,
 }
@@ -408,13 +410,16 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .expect("input was a valid &str");
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the whole run of plain bytes in one slice. The
+                    // run ends on an ASCII byte (or the end of input), so
+                    // both ends are char boundaries of the `&str` input.
+                    let start = self.at;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.at += len;
+                    out.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -514,6 +519,42 @@ mod tests {
         // Depth guard.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One document holding a single plain string (multi-byte
+        // characters and an escape every so often), at two sizes 4×
+        // apart. A parser that rescans the rest of the input per
+        // character grows ~16× over that step; a linear one ~4×. The
+        // best of three timings per size damps scheduler noise.
+        let string = |n: usize| -> String {
+            (0..n)
+                .map(|i| match i % 64 {
+                    0 => '\n',
+                    1 => 'é',
+                    _ => 'a',
+                })
+                .collect()
+        };
+        let best_of_3 = |text: &str| {
+            (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    Json::parse(text).unwrap();
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) = (string(1 << 17), string(1 << 19));
+        let (small_doc, large_doc) = (Json::Str(small.clone()).emit(), Json::Str(large).emit());
+        assert_eq!(Json::parse(&small_doc).unwrap().as_str(), Some(small.as_str()));
+        let (t_small, t_large) = (best_of_3(&small_doc), best_of_3(&large_doc));
+        // Allow 8× for 4× the input, with a floor for timer resolution.
+        assert!(
+            t_large <= 8.0 * t_small.max(1e-4),
+            "parse time grew superlinearly: {t_small:.6}s -> {t_large:.6}s for 4x the input"
+        );
     }
 
     #[test]

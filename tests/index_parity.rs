@@ -335,14 +335,15 @@ fn skewed_corpora_stay_bit_identical_and_prune_hot_pairs() {
 
 #[test]
 fn skewed_corpus_activates_the_hot_path() {
-    use de_health::core::{IndexedScorer, SimilarityEngine, SimilarityWeights, UdaGraph};
+    use de_health::core::{HotAttrs, IndexedScorer, SimilarityEngine, SimilarityWeights, UdaGraph};
     let aux = skewed_forum(200, 4, 3);
     let anon = skewed_forum(12, 4, 4);
     let aux_uda = UdaGraph::build(&aux);
     let anon_uda = UdaGraph::build(&anon);
     let sim = SimilarityEngine::new(&anon_uda, &aux_uda, SimilarityWeights::default(), 6);
     let index = sim.attribute_index();
-    let scorer = IndexedScorer::new(&sim, &index, 0, true);
+    let hot = HotAttrs::build(&index, 0);
+    let scorer = IndexedScorer::new(&sim, &index, &hot, true);
     assert!(
         scorer.n_hot_attrs() > 0,
         "a 200-user corpus sharing a sentence must classify hot attributes"

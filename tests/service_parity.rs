@@ -557,6 +557,14 @@ fn metrics_round_trip_contains_every_registered_daemon_metric() {
     assert_eq!(attack_hist.get("count").and_then(Json::as_usize), Some(1));
     assert!(attack_hist.get("p50").and_then(Json::as_f64).unwrap() > 0.0);
     assert!(has("engine_stage_seconds", Some(("stage", "topk"))));
+    // The Top-K pair classes are exported, and the two pruned classes
+    // add up to the stage's skipped count.
+    let class = |c: &str| value_of("engine_topk_pairs_total", Some(("class", c))).unwrap();
+    assert!(class("scored") > 0.0);
+    assert_eq!(
+        class("pruned_before_merge") + class("pruned_after_merge"),
+        value_of("engine_stage_skipped_total", Some(("stage", "topk"))).unwrap()
+    );
 
     client.shutdown().unwrap();
     daemon.join();
@@ -1036,4 +1044,137 @@ fn mixed_encoding_attacks_coalesce_into_one_batch_and_stay_exact() {
     let mut client = ServiceClient::connect(addr).unwrap();
     client.shutdown().unwrap();
     daemon.join();
+}
+
+/// Everything an attack answers — mappings, candidate sets, and the
+/// candidate scores as bits.
+type Answer = (Vec<Option<usize>>, Vec<Vec<usize>>, Vec<Vec<(usize, u64)>>);
+
+fn answer(outcome: &de_health::engine::EngineOutcome) -> Answer {
+    let scores = outcome
+        .candidate_scores
+        .iter()
+        .map(|entries| entries.iter().map(|&(v, s)| (v, s.to_bits())).collect())
+        .collect();
+    (outcome.mapping.clone(), outcome.candidates.clone(), scores)
+}
+
+/// The auxiliary side split into two user cohorts with chunk-local ids,
+/// plus the merged forum `append_users` documents (chunk ids offset by
+/// prior totals).
+fn two_cohorts(aux: &Forum) -> ([Forum; 2], Forum) {
+    let cut = aux.n_users / 2;
+    let chunk_of = |lo: usize, hi: usize| {
+        let posts: Vec<Post> = aux
+            .posts
+            .iter()
+            .filter(|p| (lo..hi).contains(&p.author))
+            .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
+            .collect();
+        Forum::from_posts(hi - lo, aux.n_threads, posts)
+    };
+    let chunks = [chunk_of(0, cut), chunk_of(cut, aux.n_users)];
+    let mut merged_posts = chunks[0].posts.clone();
+    for p in &chunks[1].posts {
+        merged_posts.push(Post {
+            author: p.author + cut,
+            thread: p.thread + aux.n_threads,
+            text: p.text.clone(),
+        });
+    }
+    let merged = Forum::from_posts(aux.n_users, aux.n_threads * 2, merged_posts);
+    (chunks, merged)
+}
+
+#[test]
+fn scoring_state_is_dropped_by_append_and_not_carried_by_clone() {
+    use de_health::engine::Engine;
+    let split = tiny_split();
+    let (chunks, merged) = two_cohorts(&split.auxiliary);
+    let engine = Engine::new(EngineConfig { attack: attack_cfg(), ..default_config() });
+    let classifier = attack_cfg().classifier;
+    let fresh =
+        answer(&PreparedCorpus::build(merged, classifier).attack(&engine, &split.anonymized));
+
+    let mut corpus = PreparedCorpus::build(chunks[0].clone(), classifier);
+    assert_eq!(corpus.scoring_landmarks(), None, "the state is built lazily, not by build");
+    let before = answer(&corpus.attack(&engine, &split.anonymized));
+    assert_eq!(corpus.scoring_landmarks(), Some(attack_cfg().n_landmarks));
+
+    // Clone, then append: the clone starts without the state, and its
+    // attack matches a corpus built over the merged forum.
+    let mut cloned = corpus.clone();
+    assert_eq!(cloned.scoring_landmarks(), None);
+    cloned.append_users(&chunks[1]);
+    assert_eq!(answer(&cloned.attack(&engine, &split.anonymized)), fresh);
+    // The original still serves its own users from its own state.
+    assert_eq!(answer(&corpus.attack(&engine, &split.anonymized)), before);
+
+    // Append in place: the state built before the append is dropped.
+    corpus.append_users(&chunks[1]);
+    assert_eq!(corpus.scoring_landmarks(), None);
+    assert_eq!(answer(&corpus.attack(&engine, &split.anonymized)), fresh);
+    assert_eq!(corpus.scoring_landmarks(), Some(attack_cfg().n_landmarks));
+}
+
+#[test]
+fn requests_with_another_landmark_count_match_a_fresh_corpus() {
+    use de_health::engine::{BatchRequest, Engine};
+    let split = tiny_split();
+    let classifier = attack_cfg().classifier;
+    let other = AttackConfig { n_landmarks: 3, ..attack_cfg() };
+    assert_ne!(other.n_landmarks, attack_cfg().n_landmarks);
+    let engine_of = |attack: &AttackConfig| {
+        Engine::new(EngineConfig { attack: attack.clone(), ..default_config() })
+    };
+    let fresh_corpus = || PreparedCorpus::build(split.auxiliary.clone(), classifier);
+    let fresh_default =
+        answer(&fresh_corpus().attack(&engine_of(&attack_cfg()), &split.anonymized));
+    let fresh_other = answer(&fresh_corpus().attack(&engine_of(&other), &split.anonymized));
+
+    // The first attack caches the state for the default landmark count;
+    // the next one asks for another count.
+    let corpus = fresh_corpus();
+    assert_eq!(answer(&corpus.attack(&engine_of(&attack_cfg()), &split.anonymized)), fresh_default);
+    assert_eq!(answer(&corpus.attack(&engine_of(&other), &split.anonymized)), fresh_other);
+
+    // A fused batch mixing both counts, against the cached state.
+    let requests = [
+        BatchRequest { attack: other.clone(), anonymized: &split.anonymized },
+        BatchRequest { attack: attack_cfg(), anonymized: &split.anonymized },
+    ];
+    let outcomes = corpus.attack_batch(&engine_of(&attack_cfg()), &requests);
+    assert_eq!(answer(&outcomes[0]), fresh_other);
+    assert_eq!(answer(&outcomes[1]), fresh_default);
+}
+
+#[test]
+fn scoring_state_is_built_for_the_configured_count_not_a_first_override() {
+    use de_health::engine::{BatchRequest, Engine};
+    let split = tiny_split();
+    let classifier = attack_cfg().classifier;
+    let other = AttackConfig { n_landmarks: 3, ..attack_cfg() };
+    let configured = attack_cfg().n_landmarks;
+    let engine_of = |attack: &AttackConfig| {
+        Engine::new(EngineConfig { attack: attack.clone(), ..default_config() })
+    };
+    let fresh_other = answer(
+        &PreparedCorpus::build(split.auxiliary.clone(), classifier)
+            .attack(&engine_of(&other), &split.anonymized),
+    );
+
+    // Solo: a first attack whose engine overrides the count still builds
+    // the state for the count the caller configures.
+    let corpus = PreparedCorpus::build(split.auxiliary.clone(), classifier);
+    let solo = corpus.attack_with_state(&engine_of(&other), &split.anonymized, configured);
+    assert_eq!(answer(&solo), fresh_other);
+    assert_eq!(corpus.scoring_landmarks(), Some(configured));
+
+    // Batch: a first batch keys on its engine's count, not on the count
+    // of its first request.
+    let corpus = PreparedCorpus::build(split.auxiliary.clone(), classifier);
+    let requests = [BatchRequest { attack: other.clone(), anonymized: &split.anonymized }];
+    let outcomes = corpus.attack_batch(&engine_of(&attack_cfg()), &requests);
+    assert_eq!(answer(&outcomes[0]), fresh_other);
+    assert_eq!(corpus.scoring_landmarks(), Some(configured));
 }
