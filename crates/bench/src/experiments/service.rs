@@ -434,13 +434,15 @@ fn fmt_quantile(q: Quantile) -> String {
 }
 
 /// Per-bucket difference of two snapshots of the same histogram,
-/// isolating the samples recorded between them.
+/// isolating the samples recorded between them. The window's samples are
+/// a subset of all samples, so the later snapshot's min and max still
+/// bound them and remain a sound clamp for its quantiles.
 fn histogram_delta(before: &HistogramSnapshot, after: &HistogramSnapshot) -> HistogramSnapshot {
     let mut counts = after.counts;
     for (count, earlier) in counts.iter_mut().zip(&before.counts) {
         *count -= earlier;
     }
-    HistogramSnapshot { counts, sum_nanos: after.sum_nanos - before.sum_nanos }
+    HistogramSnapshot { counts, sum_nanos: after.sum_nanos - before.sum_nanos, ..*after }
 }
 
 /// Hand-rolled JSON (the workspace carries no serialization dependency).

@@ -227,8 +227,10 @@ impl DecodeLe for f64 {
 
 impl<T: DecodeLe> ArenaView<T> {
     /// View `region` in place over `backing` when possible, otherwise
-    /// decode it into owned storage. `backing = None` always decodes
-    /// (the owned load path).
+    /// decode it into owned storage. `backing = None` always copies (the
+    /// owned load path): one block copy when `region` is aligned for `T`
+    /// in memory, as v2 sections read into an ordinary buffer usually
+    /// are, and an element-by-element decode otherwise.
     ///
     /// # Errors
     /// [`ArenaCastError::Unaligned`] when a backing was supplied but the
@@ -246,7 +248,9 @@ impl<T: DecodeLe> ArenaView<T> {
                 Err(ArenaCastError::Unsupported) => Ok(Self::from_vec(T::decode_le(region))),
                 Err(e) => Err(e),
             },
-            None => Ok(Self::from_vec(T::decode_le(region))),
+            None => Ok(Self::from_vec(
+                T::cast_slice(region).map_or_else(|| T::decode_le(region), <[T]>::to_vec),
+            )),
         }
     }
 }

@@ -50,9 +50,9 @@ pub fn decode_features(r: &mut SectionReader<'_>) -> Result<Vec<FeatureVector>, 
             return Err(SnapshotError::Malformed { context: "implausible entry count" });
         }
         let mut entries = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            let i = r.take_u32()?;
-            let v = r.take_f64()?;
+        for e in r.take_raw(nnz * 12)?.chunks_exact(12) {
+            let i = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+            let v = f64::from_le_bytes([e[4], e[5], e[6], e[7], e[8], e[9], e[10], e[11]]);
             entries.push((i, v));
         }
         out.push(

@@ -11,7 +11,7 @@
 
 use dehealth_corpus::Forum;
 use dehealth_graph::{bfs_hops, dijkstra_weighted, Graph, GraphBuilder};
-use dehealth_stylometry::{extract, FeatureVector, UserAttributes, UserProfile};
+use dehealth_stylometry::{extract, FeatureVector, PostAccumulator, UserAttributes};
 
 /// Extract the Table-I features of every post, in parallel (scoped
 /// `std::thread`; posts are independent and extraction dominates the
@@ -73,14 +73,21 @@ impl UdaGraph {
     pub fn build_with_features(forum: &Forum, features: &[FeatureVector]) -> Self {
         assert_eq!(features.len(), forum.posts.len(), "features/posts mismatch");
         let n = forum.n_users;
-        let mut attributes = vec![UserAttributes::new(); n];
-        let mut profiles_acc: Vec<UserProfile> = vec![UserProfile::new(); n];
+        // Each user's posts in forum order, so every feature sum adds its
+        // terms in the same order as a post-by-post merge would.
+        let mut acc = PostAccumulator::new();
+        let (attributes, profiles): (Vec<UserAttributes>, Vec<FeatureVector>) = (0..n)
+            .map(|u| {
+                for &i in forum.user_posts(u) {
+                    acc.add_post(&features[i]);
+                }
+                acc.finish()
+            })
+            .unzip();
 
         // Thread membership for the correlation graph.
         let mut thread_members: Vec<Vec<u32>> = vec![Vec::new(); forum.n_threads];
-        for (post, v) in forum.posts.iter().zip(features) {
-            attributes[post.author].add_post(v);
-            profiles_acc[post.author].add_post(v);
+        for post in &forum.posts {
             let members = &mut thread_members[post.thread];
             if !members.contains(&(post.author as u32)) {
                 members.push(post.author as u32);
@@ -99,7 +106,7 @@ impl UdaGraph {
         Self {
             graph: builder.build(),
             attributes,
-            profiles: profiles_acc.iter().map(UserProfile::mean).collect(),
+            profiles,
             post_counts: (0..n).map(|u| forum.post_count(u)).collect(),
         }
     }

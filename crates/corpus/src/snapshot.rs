@@ -213,6 +213,45 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`fnv1a`] of every slice, in order, bit-identical to hashing each
+/// alone.
+///
+/// One FNV-1a hash is a serial chain of multiplies, so it runs at the
+/// multiplier's latency rather than its throughput. This hashes the
+/// slices in pairs of similar length, two chains in lockstep, so a
+/// snapshot's checksum sweep costs about half the sum of its sections.
+#[must_use]
+pub fn fnv1a_many(slices: &[&[u8]]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..slices.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(slices[i].len()));
+    let mut hashes = vec![0; slices.len()];
+    for pair in order.chunks(2) {
+        match *pair {
+            [long, short] => {
+                (hashes[long], hashes[short]) = fnv1a_pair(slices[long], slices[short]);
+            }
+            [only] => hashes[only] = fnv1a(slices[only]),
+            _ => unreachable!("chunks of two"),
+        }
+    }
+    hashes
+}
+
+/// [`fnv1a`] of `long` and of `short` (no longer than `long`), hashed in
+/// lockstep over `short`'s length.
+fn fnv1a_pair(long: &[u8], short: &[u8]) -> (u64, u64) {
+    let (head, tail) = long.split_at(short.len());
+    let (mut h_long, mut h_short) = (FNV_OFFSET, FNV_OFFSET);
+    for (&a, &b) in head.iter().zip(short) {
+        h_long = (h_long ^ u64::from(a)).wrapping_mul(FNV_PRIME);
+        h_short = (h_short ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    for &a in tail {
+        h_long = (h_long ^ u64::from(a)).wrapping_mul(FNV_PRIME);
+    }
+    (h_long, h_short)
+}
+
 /// The destination of one section's payload, abstracted over *where* the
 /// bytes go: an in-memory [`SectionBuf`] (the materializing path) or a
 /// file-backed [`SectionStream`] (the streaming path, which never holds
@@ -753,7 +792,8 @@ impl ParseOptions {
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     version: u16,
-    sections: Vec<(SectionTag, &'a [u8])>,
+    /// Each section's tag, payload and stored checksum, in file order.
+    sections: Vec<(SectionTag, &'a [u8], u64)>,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -795,9 +835,28 @@ impl<'a> SnapshotReader<'a> {
         if align_field != expected_align {
             return Err(SnapshotError::Malformed { context: "unsupported section alignment" });
         }
-        let header_len = if version == V1 { 12 } else { 16 };
         let n_sections = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
         let mut sections = Vec::with_capacity(n_sections.min(64));
+        let framed = Self::frame_sections(bytes, version, n_sections, &mut sections);
+        if options.verify_checksums {
+            // Report the first failure in file order: a checksum mismatch
+            // in a section framed before a framing error comes first.
+            first_mismatch(&sections)?;
+        }
+        framed?;
+        Ok(Self { version, sections })
+    }
+
+    /// Index the sections of a container whose header checked out,
+    /// appending each one whose framing is sound to `sections` until the
+    /// first that is not.
+    fn frame_sections(
+        bytes: &'a [u8],
+        version: u16,
+        n_sections: usize,
+        sections: &mut Vec<(SectionTag, &'a [u8], u64)>,
+    ) -> Result<(), SnapshotError> {
+        let header_len = if version == V1 { 12 } else { 16 };
         let mut at = 16usize;
         for _ in 0..n_sections {
             if bytes.len() < at + header_len {
@@ -836,17 +895,12 @@ impl<'a> SnapshotReader<'a> {
             if bytes[payload_end..padded_end].iter().any(|&b| b != 0) {
                 return Err(SnapshotError::Malformed { context: "nonzero section padding" });
             }
-            if options.verify_checksums {
-                let check_bytes: [u8; 8] =
-                    bytes[padded_end..end].try_into().expect("slice is 8 bytes long");
-                if fnv1a(payload) != u64::from_le_bytes(check_bytes) {
-                    return Err(SnapshotError::ChecksumMismatch { tag });
-                }
-            }
-            sections.push((tag, payload));
+            let check_bytes: [u8; 8] =
+                bytes[padded_end..end].try_into().expect("slice is 8 bytes long");
+            sections.push((tag, payload, u64::from_le_bytes(check_bytes)));
             at = end;
         }
-        Ok(Self { version, sections })
+        Ok(())
     }
 
     /// The container version of the parsed stream ([`V1`], [`V2`] or
@@ -859,7 +913,7 @@ impl<'a> SnapshotReader<'a> {
     /// Tags present, in file order.
     #[must_use]
     pub fn tags(&self) -> Vec<SectionTag> {
-        self.sections.iter().map(|&(t, _)| t).collect()
+        self.sections.iter().map(|&(t, _, _)| t).collect()
     }
 
     /// Open the payload of section `tag` for reading.
@@ -869,10 +923,36 @@ impl<'a> SnapshotReader<'a> {
     pub fn section(&self, tag: SectionTag) -> Result<SectionReader<'a>, SnapshotError> {
         self.sections
             .iter()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, payload)| SectionReader { bytes: payload, at: 0, tag })
+            .find(|&&(t, _, _)| t == tag)
+            .map(|&(_, payload, _)| SectionReader { bytes: payload, at: 0, tag })
             .ok_or(SnapshotError::MissingSection(tag))
     }
+
+    /// Verify the checksums of the sections whose tags `pick` accepts,
+    /// hashed in pairs ([`fnv1a_many`]) — for a reader parsed without
+    /// verification ([`ParseOptions::trusting`]) that must trust some
+    /// sections before decoding them.
+    ///
+    /// # Errors
+    /// [`SnapshotError::ChecksumMismatch`] for the first picked section,
+    /// in file order, whose payload does not match its checksum.
+    pub fn verify_sections(&self, pick: impl Fn(SectionTag) -> bool) -> Result<(), SnapshotError> {
+        let picked: Vec<_> =
+            self.sections.iter().filter(|&&(tag, _, _)| pick(tag)).copied().collect();
+        first_mismatch(&picked)
+    }
+}
+
+/// The first of `sections`, in order, whose payload does not match its
+/// stored checksum.
+fn first_mismatch(sections: &[(SectionTag, &[u8], u64)]) -> Result<(), SnapshotError> {
+    let payloads: Vec<&[u8]> = sections.iter().map(|&(_, payload, _)| payload).collect();
+    for (&(tag, _, checksum), hash) in sections.iter().zip(fnv1a_many(&payloads)) {
+        if hash != checksum {
+            return Err(SnapshotError::ChecksumMismatch { tag });
+        }
+    }
+    Ok(())
 }
 
 /// Cursor over one section's payload, mirroring [`SectionBuf`]'s
@@ -951,6 +1031,15 @@ impl<'a> SectionReader<'a> {
     /// [`SnapshotError::Truncated`] at end of payload.
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Read the next `n` bytes as they are: a run of fixed-width records
+    /// whose count the caller has already read and bounded.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Truncated`] when fewer than `n` bytes remain.
+    pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        self.take(n, "record run")
     }
 
     /// Read a length-prefixed byte string.
@@ -1177,6 +1266,41 @@ mod tests {
         let r = SnapshotReader::parse_with(&bytes, &ParseOptions::trusting()).unwrap();
         assert_eq!(r.version(), V2);
         assert!(r.section(SectionTag(*b"AAAA")).is_ok());
+    }
+
+    #[test]
+    fn lockstep_hashes_match_one_at_a_time_hashing() {
+        // Lengths that tie, that are empty, that differ widely within a
+        // pair, and odd counts, whose shortest slice is hashed alone.
+        let data: Vec<u8> =
+            (0..5000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for lens in [&[][..], &[0], &[9], &[0, 0, 3], &[4999, 1, 37, 37, 0, 4096, 2, 700, 1]] {
+            let slices: Vec<&[u8]> =
+                lens.iter().enumerate().map(|(k, &n)| &data[k..k + n]).collect();
+            let expected: Vec<u64> = slices.iter().map(|s| fnv1a(s)).collect();
+            assert_eq!(fnv1a_many(&slices), expected, "lengths {lens:?}");
+        }
+    }
+
+    #[test]
+    fn checksum_errors_come_before_later_framing_errors() {
+        // A verifying parse reports the first failure in file order: a
+        // corrupt payload in section one wins over truncated framing in
+        // section two, as when each section was checked while framing it.
+        let mut w = SnapshotWriter::new();
+        w.section(SectionTag(*b"AAAA")).put_bytes(b"first payload");
+        w.section(SectionTag(*b"BBBB")).put_bytes(b"second payload");
+        let mut bytes = w.finish();
+        bytes[34] ^= 0xff;
+        bytes.truncate(bytes.len() - 3);
+        match SnapshotReader::parse(&bytes) {
+            Err(SnapshotError::ChecksumMismatch { tag }) => assert_eq!(tag.0, *b"AAAA"),
+            other => panic!("expected the first section's checksum mismatch, got {other:?}"),
+        }
+        assert!(matches!(
+            SnapshotReader::parse_with(&bytes, &ParseOptions::trusting()),
+            Err(SnapshotError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //!   [`ArenaView`](dehealth_core::arena::ArenaView)s. The mapping is
 //!   kept alive by the views themselves (`Arc`-shared), so there is no
 //!   self-referential state; dropping the corpus unmaps the file. The
-//!   FNV checksum sweep is skipped for speed — every structural
-//!   invariant is still re-validated — and reload time no longer pays
-//!   for the largest sections at all. v1 files (which cannot be borrowed)
-//!   transparently fall back to the owned decode.
+//!   FNV checksum sweep is skipped for speed on every section but the
+//!   forum, whose counts size allocations before any cross-check runs —
+//!   every structural invariant is still re-validated — and reload time
+//!   no longer pays for the largest sections at all. v1 files (which
+//!   cannot be borrowed) transparently fall back to the owned decode.
 //!
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
@@ -431,18 +432,72 @@ impl PreparedCorpus {
     /// checksum mismatch, bad padding, missing sections, or cross-section
     /// inconsistency. Never panics on malformed input.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let reader = SnapshotReader::parse(bytes)?;
-        Self::decode_sections(&reader, None)
+        let reader = SnapshotReader::parse_with(bytes, &ParseOptions::trusting())?;
+        Self::decode_sections(&reader, None, true)
     }
 
     /// Decode every section of a parsed snapshot. With a `backing`
     /// (which must hold the same bytes the reader parsed), v2 index and
     /// context arenas become zero-copy views borrowing it; v1 sections —
     /// or a missing backing — decode into owned storage.
+    ///
+    /// The forum and feature sections decode on this thread, along with
+    /// the UDA graph derived from them, while the index, context and
+    /// quantized sections decode on a second thread. Each thread first
+    /// verifies the checksums of the sections it decodes when
+    /// `verify_checksums` is set. The forum's checksum is verified either
+    /// way, because its user and thread counts size allocations before
+    /// any cross-section check can bound them. The forum side's result is
+    /// reported first, so the error never depends on thread timing.
     fn decode_sections(
         reader: &SnapshotReader<'_>,
         backing: Option<&SharedBytes>,
+        verify_checksums: bool,
     ) -> Result<Self, SnapshotError> {
+        let on_forum_side = |tag| tag == SECTION_FORUM || tag == SECTION_FEATURES;
+        let (forum_side, arenas) = std::thread::scope(|scope| {
+            let arenas = scope.spawn(|| {
+                if verify_checksums {
+                    reader.verify_sections(|tag| !on_forum_side(tag))?;
+                }
+                Self::decode_arenas(reader, backing)
+            });
+            let forum_side = reader
+                .verify_sections(|tag| {
+                    tag == SECTION_FORUM || (verify_checksums && on_forum_side(tag))
+                })
+                .and_then(|()| Self::decode_forum_side(reader));
+            (forum_side, arenas.join().expect("snapshot decode thread panicked"))
+        });
+        let (forum, features, uda) = forum_side?;
+        let (index, context, quantized) = arenas?;
+        if index.n_users() != forum.n_users {
+            return Err(SnapshotError::Malformed { context: "index/forum user count mismatch" });
+        }
+        if context.n_posts() != forum.posts.len() {
+            return Err(SnapshotError::Malformed { context: "context/forum post count mismatch" });
+        }
+
+        let classifier =
+            if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
+        debug_assert!(context.matches_classifier(classifier));
+        Ok(Self {
+            forum,
+            features,
+            uda,
+            index,
+            context,
+            classifier,
+            quantized,
+            scoring: ScoringCache::default(),
+        })
+    }
+
+    /// The forum and feature sections, and the UDA graph derived from
+    /// them.
+    fn decode_forum_side(
+        reader: &SnapshotReader<'_>,
+    ) -> Result<(Forum, Vec<FeatureVector>, UdaGraph), SnapshotError> {
         let mut s = reader.section(SECTION_FORUM)?;
         let forum = decode_forum(&mut s)?;
         s.expect_end()?;
@@ -453,16 +508,22 @@ impl PreparedCorpus {
         if features.len() != forum.posts.len() {
             return Err(SnapshotError::Malformed { context: "features/posts count mismatch" });
         }
+        let uda = UdaGraph::build_with_features(&forum, &features);
+        Ok((forum, features, uda))
+    }
 
+    /// The index, context and optional quantized sections (see
+    /// [`Self::decode_sections`] for `backing`).
+    fn decode_arenas(
+        reader: &SnapshotReader<'_>,
+        backing: Option<&SharedBytes>,
+    ) -> Result<(AttributeIndex, RefinedContext, Option<QuantizedContext>), SnapshotError> {
         let mut s = reader.section(SECTION_INDEX)?;
         let index = match reader.version() {
             V2 | V3 => AttributeIndex::decode_v2(&mut s, backing)?,
             _ => AttributeIndex::decode(&mut s)?,
         };
         s.expect_end()?;
-        if index.n_users() != forum.n_users {
-            return Err(SnapshotError::Malformed { context: "index/forum user count mismatch" });
-        }
 
         let mut s = reader.section(SECTION_CONTEXT)?;
         let context = match reader.version() {
@@ -470,9 +531,6 @@ impl PreparedCorpus {
             _ => RefinedContext::decode(&mut s)?,
         };
         s.expect_end()?;
-        if context.n_posts() != forum.posts.len() {
-            return Err(SnapshotError::Malformed { context: "context/forum post count mismatch" });
-        }
         if context.dim() != M + N_STRUCT {
             return Err(SnapshotError::Malformed { context: "context dimension mismatch" });
         }
@@ -491,21 +549,7 @@ impl PreparedCorpus {
             }
             _ => None,
         };
-
-        let uda = UdaGraph::build_with_features(&forum, &features);
-        let classifier =
-            if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
-        debug_assert!(context.matches_classifier(classifier));
-        Ok(Self {
-            forum,
-            features,
-            uda,
-            index,
-            context,
-            classifier,
-            quantized,
-            scoring: ScoringCache::default(),
-        })
+        Ok((index, context, quantized))
     }
 
     /// Read and restore a snapshot file, eagerly and fully owned
@@ -519,10 +563,11 @@ impl PreparedCorpus {
 
     /// Read and restore a snapshot file in the requested [`LoadMode`].
     ///
-    /// [`LoadMode::Mapped`] maps the file, skips the checksum sweep
-    /// (structural validation still runs in full), and borrows the v2
-    /// index/context arenas from the mapping — the views keep the
-    /// mapping alive, so the returned corpus is self-contained. A v1
+    /// [`LoadMode::Mapped`] maps the file, skips the checksum sweep of
+    /// every section but the forum (structural validation still runs in
+    /// full), and borrows the v2 index/context arenas from the mapping —
+    /// the views keep the mapping alive, so the returned corpus is
+    /// self-contained. A v1
     /// file cannot be borrowed and silently takes the owned decode
     /// instead (check [`Self::is_mapped`]).
     ///
@@ -548,14 +593,12 @@ impl PreparedCorpus {
     /// Like [`Self::from_snapshot_bytes`].
     pub fn from_shared_bytes(backing: &SharedBytes) -> Result<Self, SnapshotError> {
         let reader = SnapshotReader::parse_with(backing.bytes(), &ParseOptions::trusting())?;
-        let zero_copy = (reader.version() != V1).then_some(backing);
-        if zero_copy.is_none() {
+        if reader.version() == V1 {
             // v1: nothing can be borrowed; run the fully-verified owned
             // decode (the file is small-format legacy data anyway).
-            let reader = SnapshotReader::parse(backing.bytes())?;
-            return Self::decode_sections(&reader, None);
+            return Self::decode_sections(&reader, None, true);
         }
-        Self::decode_sections(&reader, zero_copy)
+        Self::decode_sections(&reader, Some(backing), false)
     }
 
     /// [`Self::load`] with wall-clock timing — the number the service

@@ -20,7 +20,7 @@ use std::fmt;
 
 /// Maximum nesting depth the parser accepts (arrays/objects); deeper
 /// input is rejected instead of risking a stack overflow.
-const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Objects preserve key order (the emitter is
 /// deterministic); numbers are `f64`, which covers every integer the

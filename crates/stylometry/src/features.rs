@@ -6,11 +6,19 @@
 //! lengths are comparable; the raw length features themselves are kept in
 //! natural units. A value of `0` means "the post does not exhibit this
 //! feature", which is exactly the attribute semantics of Section II-B.
+//!
+//! Extraction is one pass over the characters and one over the tokens.
+//! Each word is lowercased once and probed once in the lexicon table; every
+//! feature is an integer counter in a per-thread scratch, divided once when
+//! the output vector is built. Counts are exact integers in `f64`, so each
+//! value is the same single division however the counting is organised.
 
-use dehealth_text::lexicon::{function_word_index, misspelling_index};
-use dehealth_text::pos::{pos_bigrams, tag_tokens};
-use dehealth_text::stats::{frequency_table, legomena, yules_k};
-use dehealth_text::tokenize::{paragraphs, tokenize, TokenKind, WordShape};
+use std::cell::RefCell;
+
+use dehealth_text::lexicon::{self, lexicon_key};
+use dehealth_text::pos::Tagger;
+use dehealth_text::stats::{legomena, yules_k};
+use dehealth_text::tokenize::{paragraphs, tokens, TokenKind, WordShape};
 
 use crate::registry::{idx, M, MAX_WORD_LEN, N_POS, PUNCT_CHARS, SPECIAL_CHARS};
 use crate::vector::FeatureVector;
@@ -23,6 +31,45 @@ fn shape_slot(shape: WordShape) -> usize {
         WordShape::Camel => 3,
         WordShape::Other => 4,
     }
+}
+
+/// Slot of each ASCII byte in `chars`, or `NONE`.
+const fn ascii_slots(chars: &[char]) -> [u8; 128] {
+    let mut slots = [NONE; 128];
+    let mut k = 0;
+    while k < chars.len() {
+        assert!((chars[k] as u32) < 128, "character inventories are ASCII");
+        slots[chars[k] as usize] = k as u8;
+        k += 1;
+    }
+    slots
+}
+
+const NONE: u8 = u8::MAX;
+const SPECIAL_SLOT: [u8; 128] = ascii_slots(&SPECIAL_CHARS);
+const PUNCT_SLOT: [u8; 128] = ascii_slots(&PUNCT_CHARS);
+
+/// Scratch capacity kept between posts; a longer post's buffers are
+/// trimmed back to it afterwards, so one huge post does not pin memory in
+/// every worker for the thread's lifetime.
+const RETAIN_WORDS: usize = 4096;
+
+/// One extraction thread's reusable buffers.
+struct Scratch {
+    /// One integer counter per feature; all zero between calls.
+    counts: Vec<u64>,
+    /// The post's lowercased words, back to back.
+    lower: String,
+    /// Byte range of each word in `lower`.
+    spans: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        counts: vec![0; M],
+        lower: String::new(),
+        spans: Vec::new(),
+    });
 }
 
 /// Extract the Table-I feature vector of one post.
@@ -42,151 +89,165 @@ fn shape_slot(shape: WordShape) -> usize {
 /// ```
 #[must_use]
 pub fn extract(text: &str) -> FeatureVector {
-    let mut v = vec![0.0f64; M];
-    let tokens = tokenize(text);
-    let words: Vec<&str> =
-        tokens.iter().filter(|t| t.kind == TokenKind::Word).map(|t| t.text).collect();
-    let n_chars = text.chars().filter(|c| !c.is_whitespace()).count();
-    let n_words = words.len();
+    SCRATCH.with_borrow_mut(|scratch| scratch.extract(text))
+}
 
-    // --- Length (raw units) ---
-    v[idx::LENGTH] = n_chars as f64;
-    v[idx::LENGTH + 1] = paragraphs(text).len() as f64;
-    if n_words > 0 {
-        let word_chars: usize = words.iter().map(|w| w.chars().count()).sum();
-        v[idx::LENGTH + 2] = word_chars as f64 / n_words as f64;
-    }
+impl Scratch {
+    fn extract(&mut self, text: &str) -> FeatureVector {
+        let Scratch { counts: c, lower, spans } = self;
 
-    // --- Word length histogram (relative to word count) ---
-    if n_words > 0 {
-        for w in &words {
-            let len = w.chars().count().min(MAX_WORD_LEN);
-            if len >= 1 {
-                v[idx::WORD_LEN + len - 1] += 1.0;
-            }
-        }
-        for k in 0..MAX_WORD_LEN {
-            v[idx::WORD_LEN + k] /= n_words as f64;
-        }
-    }
-
-    // --- Vocabulary richness ---
-    if n_words > 0 {
-        let freqs = frequency_table(words.iter().copied());
-        v[idx::VOCAB] = yules_k(&freqs);
-        let l = legomena(&freqs);
-        v[idx::VOCAB + 1] = l.hapax as f64 / n_words as f64;
-        v[idx::VOCAB + 2] = l.dis as f64 / n_words as f64;
-        v[idx::VOCAB + 3] = l.tris as f64 / n_words as f64;
-        v[idx::VOCAB + 4] = l.tetrakis as f64 / n_words as f64;
-    }
-
-    // --- Character-class frequencies (relative to non-space chars) ---
-    if n_chars > 0 {
-        let mut n_letters = 0usize;
-        let mut n_upper = 0usize;
-        for c in text.chars() {
-            if c.is_alphabetic() {
+        // --- Characters: length, letters, digits, specials, punctuation ---
+        let (mut n_chars, mut n_letters) = (0u64, 0u64);
+        for ch in text.chars().filter(|ch| !ch.is_whitespace()) {
+            n_chars += 1;
+            if ch.is_alphabetic() {
                 n_letters += 1;
-                if c.is_uppercase() {
-                    n_upper += 1;
+                if ch.is_uppercase() {
+                    c[idx::UPPER_PCT] += 1;
                 }
             }
-            if c.is_ascii_alphabetic() {
-                let slot = (c.to_ascii_lowercase() as u8 - b'a') as usize;
-                v[idx::LETTER + slot] += 1.0;
-            } else if c.is_ascii_digit() {
-                v[idx::DIGIT + (c as u8 - b'0') as usize] += 1.0;
-            } else if let Some(slot) = SPECIAL_CHARS.iter().position(|&s| s == c) {
-                v[idx::SPECIAL + slot] += 1.0;
-            }
-            if let Some(slot) = PUNCT_CHARS.iter().position(|&s| s == c) {
-                v[idx::PUNCT + slot] += 1.0;
-            }
-        }
-        for k in 0..26 {
-            v[idx::LETTER + k] /= n_chars as f64;
-        }
-        for k in 0..10 {
-            v[idx::DIGIT + k] /= n_chars as f64;
-        }
-        for k in 0..21 {
-            v[idx::SPECIAL + k] /= n_chars as f64;
-        }
-        for k in 0..10 {
-            v[idx::PUNCT + k] /= n_chars as f64;
-        }
-        if n_letters > 0 {
-            v[idx::UPPER_PCT] = n_upper as f64 / n_letters as f64;
-        }
-    }
-
-    // --- Word shape: 5 class frequencies + 16 bigrams over main classes ---
-    if n_words > 0 {
-        let shapes: Vec<WordShape> = tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Word)
-            .map(dehealth_text::tokenize::Token::shape)
-            .collect();
-        for &s in &shapes {
-            v[idx::SHAPE + shape_slot(s)] += 1.0;
-        }
-        for k in 0..5 {
-            v[idx::SHAPE + k] /= n_words as f64;
-        }
-        if shapes.len() >= 2 {
-            let n_bi = shapes.len() - 1;
-            for w in shapes.windows(2) {
-                let (a, b) = (shape_slot(w[0]), shape_slot(w[1]));
-                if a < 4 && b < 4 {
-                    v[idx::SHAPE + 5 + a * 4 + b] += 1.0;
+            if ch.is_ascii() {
+                let b = ch as u8;
+                if b.is_ascii_alphabetic() {
+                    c[idx::LETTER + usize::from(b.to_ascii_lowercase() - b'a')] += 1;
+                } else if b.is_ascii_digit() {
+                    c[idx::DIGIT + usize::from(b - b'0')] += 1;
+                } else if SPECIAL_SLOT[usize::from(b)] != NONE {
+                    c[idx::SPECIAL + usize::from(SPECIAL_SLOT[usize::from(b)])] += 1;
+                }
+                if PUNCT_SLOT[usize::from(b)] != NONE {
+                    c[idx::PUNCT + usize::from(PUNCT_SLOT[usize::from(b)])] += 1;
                 }
             }
-            for k in 0..16 {
-                v[idx::SHAPE + 5 + k] /= n_bi as f64;
+        }
+        c[idx::LENGTH] = n_chars;
+        c[idx::LENGTH + 1] = paragraphs(text).len() as u64;
+
+        // --- Tokens: word length, shape, lexicon, POS ---
+        let mut tagger = Tagger::new();
+        let (mut n_words, mut n_tags) = (0u64, 0u64);
+        let mut prev_shape: Option<usize> = None;
+        let mut prev_tag: Option<usize> = None;
+        for tok in tokens(text) {
+            let tag = if tok.kind == TokenKind::Word {
+                n_words += 1;
+                let len = tok.char_len();
+                c[idx::LENGTH + 2] += len as u64;
+                c[idx::WORD_LEN + len.min(MAX_WORD_LEN) - 1] += 1;
+
+                let ascii = tok.text.is_ascii();
+                let start = lower.len();
+                if ascii {
+                    lower.push_str(tok.text);
+                    lower[start..].make_ascii_lowercase();
+                } else {
+                    // Keep `str::to_lowercase`'s context rules (a final Σ
+                    // becomes ς), which no per-char mapping reproduces.
+                    lower.push_str(&tok.text.to_lowercase());
+                }
+                spans.push((start, lower.len()));
+                let word_lower = &lower[start..];
+                let entry = lexicon::lookup(word_lower);
+                let lex =
+                    if ascii { entry } else { lexicon::lookup(lexicon_key(tok.text, word_lower)) };
+                if let Some(i) = lex.function_word {
+                    c[idx::FUNC + usize::from(i)] += 1;
+                }
+                if let Some(i) = lex.misspelling {
+                    c[idx::MISSPELL + usize::from(i)] += 1;
+                }
+
+                let shape = tok.shape();
+                let slot = shape_slot(shape);
+                c[idx::SHAPE + slot] += 1;
+                if let Some(prev) = prev_shape.filter(|&p| p < 4 && slot < 4) {
+                    c[idx::SHAPE + 5 + prev * 4 + slot] += 1;
+                }
+                prev_shape = Some(slot);
+                tagger.word(word_lower, shape, entry.tag)
+            } else {
+                tagger.non_word(&tok)
+            };
+            let tag = tag.index();
+            c[idx::POS + tag] += 1;
+            if let Some(prev) = prev_tag {
+                c[idx::POS_BIGRAM + prev * N_POS + tag] += 1;
+            }
+            prev_tag = Some(tag);
+            n_tags += 1;
+        }
+
+        // --- Vocabulary richness: runs of equal lowercased words ---
+        spans.sort_unstable_by(|a, b| lower[a.0..a.1].cmp(&lower[b.0..b.1]));
+        let runs = spans.chunk_by(|a, b| lower[a.0..a.1] == lower[b.0..b.1]).map(<[_]>::len);
+        let yule = yules_k(runs.clone());
+        let l = legomena(runs);
+        for (k, n) in [l.hapax, l.dis, l.tris, l.tetrakis].into_iter().enumerate() {
+            c[idx::VOCAB + 1 + k] = n as u64;
+        }
+        lower.clear();
+        lower.shrink_to(RETAIN_WORDS * 8);
+        spans.clear();
+        spans.shrink_to(RETAIN_WORDS);
+
+        // --- Divide once, into a vector of exact capacity ---
+        let nnz = c.iter().filter(|&&n| n != 0).count() + usize::from(yule != 0.0);
+        let mut out = Entries { counts: c, entries: Vec::with_capacity(nnz) };
+        out.raw(idx::LENGTH, 2);
+        out.ratio(idx::LENGTH + 2, 1, n_words);
+        out.ratio(idx::WORD_LEN, MAX_WORD_LEN, n_words);
+        out.value(idx::VOCAB, yule);
+        out.ratio(idx::VOCAB + 1, 4, n_words);
+        out.ratio(idx::LETTER, 26 + 10, n_chars); // letters, then digits
+        out.ratio(idx::UPPER_PCT, 1, n_letters);
+        out.ratio(idx::SPECIAL, SPECIAL_CHARS.len(), n_chars);
+        out.ratio(idx::SHAPE, 5, n_words);
+        out.ratio(idx::SHAPE + 5, 16, n_words.saturating_sub(1));
+        out.ratio(idx::PUNCT, PUNCT_CHARS.len(), n_chars);
+        out.ratio(idx::FUNC, idx::POS - idx::FUNC, n_words);
+        out.ratio(idx::POS, N_POS, n_tags);
+        out.ratio(idx::POS_BIGRAM, N_POS * N_POS, n_tags.saturating_sub(1));
+        out.ratio(idx::MISSPELL, M - idx::MISSPELL, n_words);
+        debug_assert_eq!(out.entries.len(), nnz);
+        debug_assert!(out.counts.iter().all(|&n| n == 0), "a counter block was not drained");
+        FeatureVector::from_extracted(out.entries)
+    }
+}
+
+/// Drains counter blocks, in index order, into sorted feature entries.
+struct Entries<'a> {
+    counts: &'a mut [u64],
+    entries: Vec<(u32, f64)>,
+}
+
+impl Entries<'_> {
+    /// `count / denom` for each non-zero counter of `start..start + len`,
+    /// zeroing the counters. A non-zero counter implies `denom > 0`.
+    fn ratio(&mut self, start: usize, len: usize, denom: u64) {
+        for (k, n) in self.counts[start..start + len].iter_mut().enumerate() {
+            if *n != 0 {
+                self.entries.push(((start + k) as u32, *n as f64 / denom as f64));
+                *n = 0;
             }
         }
     }
 
-    // --- Function words and misspellings (relative to word count) ---
-    if n_words > 0 {
-        for w in &words {
-            if let Some(fi) = function_word_index(w) {
-                v[idx::FUNC + fi] += 1.0;
-            }
-            if let Some(mi) = misspelling_index(w) {
-                v[idx::MISSPELL + mi] += 1.0;
-            }
-        }
-        for k in 0..337 {
-            v[idx::FUNC + k] /= n_words as f64;
-        }
-        for k in 0..248 {
-            v[idx::MISSPELL + k] /= n_words as f64;
-        }
-    }
-
-    // --- POS tags and bigrams (relative to tag / bigram counts) ---
-    if !tokens.is_empty() {
-        let tags = tag_tokens(&tokens);
-        for &t in &tags {
-            v[idx::POS + t.index()] += 1.0;
-        }
-        for k in 0..N_POS {
-            v[idx::POS + k] /= tags.len() as f64;
-        }
-        let bigrams = pos_bigrams(&tags);
-        if !bigrams.is_empty() {
-            for &(a, b) in &bigrams {
-                v[idx::POS_BIGRAM + a.index() * N_POS + b.index()] += 1.0;
-            }
-            for k in 0..N_POS * N_POS {
-                v[idx::POS_BIGRAM + k] /= bigrams.len() as f64;
+    /// Counters kept in natural units.
+    fn raw(&mut self, start: usize, len: usize) {
+        for (k, n) in self.counts[start..start + len].iter_mut().enumerate() {
+            if *n != 0 {
+                self.entries.push(((start + k) as u32, *n as f64));
+                *n = 0;
             }
         }
     }
 
-    FeatureVector::from_dense(v)
+    /// A value computed outside the counters.
+    fn value(&mut self, i: usize, v: f64) {
+        if v != 0.0 {
+            self.entries.push((i as u32, v));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +317,24 @@ mod tests {
     fn misspelling_detected() {
         assert!(value("i recieve mail", "misspell_recieve") > 0.0);
         assert_eq!(value("i receive mail", "misspell_recieve"), 0.0);
+    }
+
+    #[test]
+    fn vocabulary_richness_is_case_insensitive() {
+        // "The"/"the" are one type seen twice, "Doctor" a type seen once.
+        let v = extract("The the Doctor");
+        assert!((v.get(idx::VOCAB + 1) - 1.0 / 3.0).abs() < 1e-12); // hapax: doctor
+        assert!((v.get(idx::VOCAB + 2) - 1.0 / 3.0).abs() < 1e-12); // dis: the
+                                                                    // K = 1e4 · (4 + 1 − 3) / 9.
+        assert!((v.get(idx::VOCAB) - 1e4 * 2.0 / 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scratch_is_clean_between_posts() {
+        let long = "The doctor said the pain was really bad. ".repeat(2000);
+        let _ = extract(&long);
+        assert_eq!(extract("hello"), extract("hello"));
+        assert!(extract("").iter_nonzero().next().is_none());
     }
 
     #[test]

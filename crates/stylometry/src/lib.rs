@@ -14,7 +14,11 @@
 //! - [`features`] — the per-post extractor [`features::extract`];
 //! - [`vector`] — [`vector::FeatureVector`] plus per-user aggregation and
 //!   the binary *attribute* projection of Section II-B (`u ~ A_i` with
-//!   weight `l_u(A_i)` = number of posts of `u` exhibiting feature `i`);
+//!   weight `l_u(A_i)` = number of posts of `u` exhibiting feature `i`):
+//!   [`vector::PostAccumulator`] aggregates a user's posts in one dense
+//!   pass, and the per-post [`vector::UserProfile`] and
+//!   [`vector::UserAttributes::add_post`] merges are the reference it is
+//!   tested against;
 //! - [`ngrams`] — the optional *content feature* extension (hashed
 //!   character trigrams and word unigrams) the paper defers to future
 //!   work.
@@ -27,4 +31,4 @@ pub mod vector;
 pub use features::extract;
 pub use ngrams::{extract_content, extract_extended, M_CONTENT};
 pub use registry::{categories, feature_name, Category, M};
-pub use vector::{FeatureVector, UserAttributes, UserProfile};
+pub use vector::{FeatureVector, PostAccumulator, UserAttributes, UserProfile};

@@ -35,6 +35,13 @@ impl FeatureVector {
         Self { entries }
     }
 
+    /// Wrap entries the extractor already produced sorted, non-zero and
+    /// finite (checked in debug builds only).
+    pub(crate) fn from_extracted(entries: Vec<(u32, f64)>) -> Self {
+        debug_assert!(Self::try_from_sorted_entries(entries.clone()).is_ok());
+        Self { entries }
+    }
+
     /// Build directly from sorted non-zero `(index, value)` entries — the
     /// deserialization constructor (snapshot loading reconstructs vectors
     /// from persisted entry lists without densifying).
@@ -113,7 +120,12 @@ impl FeatureVector {
     }
 }
 
-/// Per-user continuous profile: the mean of the user's post vectors.
+/// Per-user continuous profile: the mean of the user's post vectors,
+/// merged one sparse post at a time.
+///
+/// This is the reference definition of a profile. The UDA graph builds
+/// its profiles with [`PostAccumulator`], which is pinned to this type
+/// bit for bit by `accumulator_matches_the_sparse_merges_bit_for_bit`.
 #[derive(Debug, Clone, Default)]
 pub struct UserProfile {
     sum: Vec<(u32, f64)>,
@@ -181,6 +193,64 @@ impl UserProfile {
     }
 }
 
+/// Dense accumulator for one user's posts at a time: the attributes and
+/// mean profile that [`UserAttributes::add_post`] and
+/// [`UserProfile::add_post`] followed by [`UserProfile::mean`] produce,
+/// bit for bit, without re-merging a growing sparse vector per post.
+///
+/// Each feature's sum starts from its first post's value and adds later
+/// posts in the order given, exactly as the sparse merge does; weights
+/// saturate like [`UserAttributes::add_post`]'s.
+#[derive(Debug, Clone)]
+pub struct PostAccumulator {
+    counts: Vec<u32>,
+    sums: Vec<f64>,
+    n_posts: usize,
+}
+
+impl Default for PostAccumulator {
+    fn default() -> Self {
+        Self { counts: vec![0; M], sums: vec![0.0; M], n_posts: 0 }
+    }
+}
+
+impl PostAccumulator {
+    /// An empty accumulator.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add one post of the current user.
+    pub fn add_post(&mut self, v: &FeatureVector) {
+        self.n_posts += 1;
+        for &(i, x) in &v.entries {
+            let i = i as usize;
+            self.counts[i] = self.counts[i].saturating_add(1);
+            self.sums[i] = if self.counts[i] == 1 { x } else { self.sums[i] + x };
+        }
+    }
+
+    /// The current user's attributes and mean profile, each allocated at
+    /// exact capacity; resets the accumulator for the next user.
+    pub fn finish(&mut self) -> (UserAttributes, FeatureVector) {
+        let nnz = self.counts.iter().filter(|&&c| c != 0).count();
+        let mut weights = Vec::with_capacity(nnz);
+        let mut mean = Vec::with_capacity(nnz);
+        let n = self.n_posts as f64;
+        for (i, (c, sum)) in self.counts.iter_mut().zip(&mut self.sums).enumerate() {
+            if *c != 0 {
+                weights.push((i as u32, *c));
+                mean.push((i as u32, *sum / n));
+                *c = 0;
+                *sum = 0.0;
+            }
+        }
+        self.n_posts = 0;
+        (UserAttributes { weights }, FeatureVector { entries: mean })
+    }
+}
+
 /// Per-user binary attributes with weights (Section II-B).
 ///
 /// `weights[k] = (i, l_u(A_i))` where `l_u(A_i)` counts the user's posts
@@ -230,6 +300,10 @@ impl UserAttributes {
 
     /// Record one post: every non-zero feature contributes 1 to its
     /// attribute weight.
+    ///
+    /// This is the reference definition of the weights. The UDA graph
+    /// builds its attributes with [`PostAccumulator`], which is pinned to
+    /// this method by `accumulator_matches_the_sparse_merges_bit_for_bit`.
     pub fn add_post(&mut self, v: &FeatureVector) {
         let mut merged = Vec::with_capacity(self.weights.len() + v.entries.len());
         let (mut a, mut b) = (0usize, 0usize);
@@ -377,6 +451,31 @@ impl UserAttributes {
 mod tests {
     use super::*;
     use crate::features::extract;
+
+    #[test]
+    fn accumulator_matches_the_sparse_merges_bit_for_bit() {
+        let users: [&[&str]; 3] = [
+            &["the doctor said so", "I recieve 40 mg daily!!", "THE doctor, again; the pain"],
+            &["one post only"],
+            &[],
+        ];
+        let mut acc = PostAccumulator::new();
+        for posts in users {
+            let vectors: Vec<FeatureVector> = posts.iter().map(|t| extract(t)).collect();
+            let (mut attrs, mut profile) = (UserAttributes::new(), UserProfile::new());
+            for v in &vectors {
+                attrs.add_post(v);
+                profile.add_post(v);
+                acc.add_post(v);
+            }
+            let (acc_attrs, acc_mean) = acc.finish();
+            assert_eq!(acc_attrs, attrs);
+            let bits = |v: &FeatureVector| -> Vec<(usize, u64)> {
+                v.iter_nonzero().map(|(i, x)| (i, x.to_bits())).collect()
+            };
+            assert_eq!(bits(&acc_mean), bits(&profile.mean()));
+        }
+    }
 
     fn fv(pairs: &[(usize, f64)]) -> FeatureVector {
         let mut dense = vec![0.0; M];

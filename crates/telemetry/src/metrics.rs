@@ -133,11 +133,15 @@ pub fn bucket_index(nanos: u64) -> usize {
 /// exact while quantiles are estimates with a documented error: an
 /// estimated quantile always falls inside the bucket that holds the true
 /// sample, i.e. it is off by at most one bucket width (the ladder's 1-2-5
-/// steps bound the ratio error at 2.5×).
+/// steps bound the ratio error at 2.5×). The exact smallest and largest
+/// samples are kept too, and estimates are clamped between them, so no
+/// quantile reads below the smallest or above the largest observed value.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; N_BUCKETS],
     sum_nanos: AtomicU64,
+    min_nanos: AtomicU64,
+    max_nanos: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -150,7 +154,12 @@ impl Histogram {
     /// An empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        Self { buckets: [const { AtomicU64::new(0) }; N_BUCKETS], sum_nanos: AtomicU64::new(0) }
+        Self {
+            buckets: [const { AtomicU64::new(0) }; N_BUCKETS],
+            sum_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
+            max_nanos: AtomicU64::new(0),
+        }
     }
 
     /// Record one elapsed duration.
@@ -160,6 +169,8 @@ impl Histogram {
 
     /// Record one sample given in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
+        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -191,14 +202,19 @@ impl Histogram {
         self.sum_nanos() as f64 / 1e9
     }
 
-    /// A point-in-time copy of the bucket counts and sum.
+    /// A point-in-time copy of the bucket counts, sum and bounds.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; N_BUCKETS];
         for (out, bucket) in counts.iter_mut().zip(&self.buckets) {
             *out = bucket.load(Ordering::Relaxed);
         }
-        HistogramSnapshot { counts, sum_nanos: self.sum_nanos() }
+        HistogramSnapshot {
+            counts,
+            sum_nanos: self.sum_nanos(),
+            min_nanos: self.min_nanos.load(Ordering::Relaxed),
+            max_nanos: self.max_nanos.load(Ordering::Relaxed),
+        }
     }
 
     /// Estimated `q`-quantile (see [`HistogramSnapshot::quantile`]).
@@ -233,6 +249,10 @@ pub struct HistogramSnapshot {
     pub counts: [u64; N_BUCKETS],
     /// Exact sum of all samples, in nanoseconds.
     pub sum_nanos: u64,
+    /// Smallest sample, in nanoseconds (`u64::MAX` before the first).
+    pub min_nanos: u64,
+    /// Largest sample, in nanoseconds (0 before the first).
+    pub max_nanos: u64,
 }
 
 impl HistogramSnapshot {
@@ -264,7 +284,9 @@ impl HistogramSnapshot {
     ///
     /// Error bound: the estimate lies inside the same bucket as the true
     /// rank-order statistic, so it is off by at most that bucket's width
-    /// (a ratio of ≤ 2.5× on the 1-2-5 ladder). When the target rank
+    /// (a ratio of ≤ 2.5× on the 1-2-5 ladder). It is then clamped into
+    /// `[min_nanos, max_nanos]`, which keeps it in that bucket and never
+    /// reports a value outside the observed range. When the target rank
     /// falls in the overflow bucket the true value is unbounded above:
     /// the result carries the ladder ceiling **and** `overflow: true`,
     /// never a fabricated finite estimate. Returns 0 when empty.
@@ -291,7 +313,12 @@ impl HistogramSnapshot {
                 };
                 let lower = if i == 0 { 0 } else { BUCKET_BOUNDS_NANOS[i - 1] };
                 let fraction = (rank - seen) as f64 / n as f64;
-                let nanos = lower as f64 + (upper - lower) as f64 * fraction;
+                let mut nanos = lower as f64 + (upper - lower) as f64 * fraction;
+                // A reader racing a first record can see its bucket count
+                // before its bounds; clamp only once the bounds are set.
+                if self.min_nanos <= self.max_nanos {
+                    nanos = nanos.clamp(self.min_nanos as f64, self.max_nanos as f64);
+                }
                 return Quantile { seconds: nanos / 1e9, overflow: false };
             }
             seen += n;
@@ -492,6 +519,34 @@ mod tests {
         let snapshot = hist.snapshot();
         assert_eq!(snapshot.counts[0], 2, "negative and NaN record as 0");
         assert_eq!(snapshot.counts[N_BUCKETS - 1], 2, "inf/huge land in overflow");
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_largest_sample() {
+        // One 72 s sample sits in the (50 s, 100 s] bucket; interpolation
+        // alone would report the bucket's 100 s ceiling.
+        let hist = Histogram::new();
+        hist.record_secs(72.0);
+        for q in [0.5, 0.9, 0.99] {
+            let est = hist.quantile(q);
+            assert!(!est.overflow);
+            assert!(est.seconds <= 72.0, "p{q} = {}", est.seconds);
+            assert!((est.seconds - 72.0).abs() < 1e-9);
+        }
+        let snap = hist.snapshot();
+        assert_eq!((snap.min_nanos, snap.max_nanos), (72_000_000_000, 72_000_000_000));
+    }
+
+    #[test]
+    fn quantiles_never_fall_below_the_smallest_sample() {
+        let hist = Histogram::new();
+        for _ in 0..10 {
+            hist.record_nanos(60_000); // (50µs, 100µs] bucket
+        }
+        hist.record_nanos(90_000);
+        let p10 = hist.quantile(0.1).seconds;
+        assert!((60e-6..=90e-6).contains(&p10), "p10 = {p10}");
+        assert!(hist.quantile(1.0).seconds <= 90e-6);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   punctuation and symbol tokens, plus sentence and paragraph splitting
 //!   and word-shape classification.
 //! - [`lexicon`] — the 337-entry function-word list and the 248-entry
-//!   common-misspelling list used by Table I, exposed as `O(1)` lookup
-//!   sets.
-//! - [`pos`] — a rule-based part-of-speech tagger (closed-class lexicon +
-//!   suffix/shape heuristics) over a compact Penn-Treebank-like tagset,
-//!   with bigram extraction.
+//!   common-misspelling list used by Table I, merged with the tagger's
+//!   closed-class lists into one `O(1)` lookup table.
+//! - [`pos`] — a rule-based, streaming part-of-speech tagger
+//!   (closed-class lexicon + suffix/shape heuristics) over a compact
+//!   Penn-Treebank-like tagset, with bigram extraction.
 //! - [`stats`] — vocabulary richness measures: Yule's K and
 //!   hapax/dis/tris/tetrakis legomena counts.
 
@@ -25,6 +25,6 @@ pub mod pos;
 pub mod stats;
 pub mod tokenize;
 
-pub use pos::{pos_bigrams, tag_tokens, PosTag};
+pub use pos::{pos_bigrams, tag_tokens, PosTag, Tagger};
 pub use stats::{legomena, yules_k, Legomena};
-pub use tokenize::{paragraphs, sentences, tokenize, Token, TokenKind, WordShape};
+pub use tokenize::{paragraphs, sentences, tokenize, tokens, Token, TokenKind, Tokens, WordShape};

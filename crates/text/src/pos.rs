@@ -9,6 +9,7 @@
 //! consistent — which is what stylometry needs: the same writing habit must
 //! always map to the same tag histogram.
 
+use crate::lexicon;
 use crate::tokenize::{Token, TokenKind, WordShape};
 
 /// Compact Penn-Treebank-like tagset.
@@ -96,7 +97,8 @@ impl PosTag {
     /// Index of this tag in [`PosTag::ALL`].
     #[must_use]
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&t| t == self).expect("tag in ALL")
+        // `ALL` lists the variants in declaration order.
+        self as usize
     }
 
     /// Penn-Treebank-style name.
@@ -286,53 +288,34 @@ const COMMON_BASE_VERBS: &[&str] = &[
     "turn", "hurt", "ache", "eat", "sleep", "drink", "call", "say",
 ];
 
-fn in_list(list: &[&str], w: &str) -> bool {
-    list.contains(&w)
+/// Every closed-class word with its tag, in the tagger's precedence
+/// order: a word on several lists takes the tag of its first occurrence
+/// here ("no" is DT, not UH; "there" is EX, not RB; "like" is IN). The
+/// lexicon table is built from this sequence.
+pub(crate) fn closed_class_words() -> impl Iterator<Item = (&'static str, PosTag)> {
+    let lists: [(&'static [&'static str], PosTag); 13] = [
+        (MODALS, PosTag::Md),
+        (&["to"], PosTag::To),
+        (&["there"], PosTag::Ex),
+        (DETERMINERS, PosTag::Dt),
+        (POSSESSIVES, PosTag::PrpDollar),
+        (PRONOUNS, PosTag::Prp),
+        (CONJUNCTIONS, PosTag::Cc),
+        (WH_WORDS, PosTag::Wp),
+        (PREPOSITIONS, PosTag::In),
+        (INTERJECTIONS, PosTag::Uh),
+        (COMMON_ADVERBS, PosTag::Rb),
+        (COMMON_ADJECTIVES, PosTag::Jj),
+        (COMMON_BASE_VERBS, PosTag::Vb),
+    ];
+    AUX_BE_HAVE_DO
+        .iter()
+        .copied()
+        .chain(lists.into_iter().flat_map(|(list, tag)| list.iter().map(move |&w| (w, tag))))
 }
 
-fn tag_word(lower: &str, shape: WordShape, sentence_initial: bool) -> PosTag {
-    if let Some(&(_, t)) = AUX_BE_HAVE_DO.iter().find(|&&(w, _)| w == lower) {
-        return t;
-    }
-    if in_list(MODALS, lower) {
-        return PosTag::Md;
-    }
-    if lower == "to" {
-        return PosTag::To;
-    }
-    if lower == "there" {
-        return PosTag::Ex;
-    }
-    if in_list(DETERMINERS, lower) {
-        return PosTag::Dt;
-    }
-    if in_list(POSSESSIVES, lower) {
-        return PosTag::PrpDollar;
-    }
-    if in_list(PRONOUNS, lower) {
-        return PosTag::Prp;
-    }
-    if in_list(CONJUNCTIONS, lower) {
-        return PosTag::Cc;
-    }
-    if in_list(WH_WORDS, lower) {
-        return PosTag::Wp;
-    }
-    if in_list(PREPOSITIONS, lower) {
-        return PosTag::In;
-    }
-    if in_list(INTERJECTIONS, lower) {
-        return PosTag::Uh;
-    }
-    if in_list(COMMON_ADVERBS, lower) {
-        return PosTag::Rb;
-    }
-    if in_list(COMMON_ADJECTIVES, lower) {
-        return PosTag::Jj;
-    }
-    if in_list(COMMON_BASE_VERBS, lower) {
-        return PosTag::Vb;
-    }
+/// Tag of a word no closed-class list knows.
+fn open_class_tag(lower: &str, shape: WordShape, sentence_initial: bool) -> PosTag {
     // Proper noun by shape: capitalized or camel-case away from the
     // sentence start.
     if !sentence_initial
@@ -387,35 +370,86 @@ fn suffix_tag(lower: &str) -> PosTag {
     }
 }
 
-/// Tag a token sequence.
+/// Streaming tagger: feed it the tokens of a text in order, one call per
+/// token, and it returns each token's final tag.
 ///
-/// `tokens` should come from [`crate::tokenize::tokenize`]. A token is
-/// sentence-initial if it is the first token or follows `.`, `!` or `?`.
-#[must_use]
-pub fn tag_tokens(tokens: &[Token<'_>]) -> Vec<PosTag> {
-    let mut tags = Vec::with_capacity(tokens.len());
-    let mut sentence_initial = true;
-    for tok in tokens {
+/// A token is sentence-initial if it is the first token or follows `.`,
+/// `!` or `?`. The contextual fix-up (a determiner or possessive followed
+/// by a tagged verb is a noun: "my ache", "the need") depends only on the
+/// previous token's tag, so each tag is final when returned.
+#[derive(Debug, Clone)]
+pub struct Tagger {
+    prev: Option<PosTag>,
+    sentence_initial: bool,
+}
+
+impl Default for Tagger {
+    fn default() -> Self {
+        Self { prev: None, sentence_initial: true }
+    }
+}
+
+impl Tagger {
+    /// A tagger at the start of a text.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Tag the next token, a [`TokenKind::Word`]: `lower` is its
+    /// `str::to_lowercase`, `shape` its [`Token::shape`] and `closed` its
+    /// [`lexicon::lookup`] tag.
+    pub fn word(&mut self, lower: &str, shape: WordShape, closed: Option<PosTag>) -> PosTag {
+        let tag = closed.unwrap_or_else(|| open_class_tag(lower, shape, self.sentence_initial));
+        self.sentence_initial = false;
+        self.emit(tag)
+    }
+
+    /// Tag the next token, a number, punctuation or symbol token.
+    ///
+    /// # Panics
+    /// Panics on a word token, which belongs in [`Tagger::word`].
+    pub fn non_word(&mut self, tok: &Token<'_>) -> PosTag {
         let tag = match tok.kind {
             TokenKind::Punct => PosTag::Punct,
-            TokenKind::Symbol => PosTag::Sym,
             TokenKind::Number => PosTag::Cd,
-            TokenKind::Word => {
-                let lower = tok.text.to_lowercase();
-                tag_word(&lower, tok.shape(), sentence_initial)
-            }
+            TokenKind::Symbol => PosTag::Sym,
+            TokenKind::Word => unreachable!("words go through Tagger::word"),
         };
-        sentence_initial = matches!(tok.text, "." | "!" | "?");
-        tags.push(tag);
+        self.sentence_initial = matches!(tok.text, "." | "!" | "?");
+        self.emit(tag)
     }
-    // Contextual fix-up: DT/PRP$ followed by a tagged verb is almost always
-    // a noun ("my ache", "the need").
-    for i in 1..tags.len() {
-        if matches!(tags[i - 1], PosTag::Dt | PosTag::PrpDollar) && matches!(tags[i], PosTag::Vb) {
-            tags[i] = PosTag::Nn;
-        }
+
+    fn emit(&mut self, tag: PosTag) -> PosTag {
+        let tag = if matches!(self.prev, Some(PosTag::Dt | PosTag::PrpDollar)) && tag == PosTag::Vb
+        {
+            PosTag::Nn
+        } else {
+            tag
+        };
+        self.prev = Some(tag);
+        tag
     }
-    tags
+}
+
+/// Tag a token sequence.
+///
+/// `tokens` should come from [`crate::tokenize::tokenize`]. See
+/// [`Tagger`] for the rules.
+#[must_use]
+pub fn tag_tokens(tokens: &[Token<'_>]) -> Vec<PosTag> {
+    let mut tagger = Tagger::new();
+    tokens
+        .iter()
+        .map(|tok| {
+            if tok.kind == TokenKind::Word {
+                let lower = tok.text.to_lowercase();
+                tagger.word(&lower, tok.shape(), lexicon::lookup(&lower).tag)
+            } else {
+                tagger.non_word(tok)
+            }
+        })
+        .collect()
 }
 
 /// Consecutive tag pairs, skipping nothing: `tags.len().saturating_sub(1)`
@@ -497,6 +531,62 @@ mod tests {
             assert_eq!(t.index(), i);
         }
         assert_eq!(PosTag::ALL.len(), 24);
+    }
+
+    /// The closed-class rules as a chain of linear list scans, the way
+    /// the tagger ran them before the lexicon table.
+    fn chained_closed_tag(lower: &str) -> Option<PosTag> {
+        if let Some(&(_, t)) = AUX_BE_HAVE_DO.iter().find(|&&(w, _)| w == lower) {
+            return Some(t);
+        }
+        let chain: [(&[&str], PosTag); 13] = [
+            (MODALS, PosTag::Md),
+            (&["to"], PosTag::To),
+            (&["there"], PosTag::Ex),
+            (DETERMINERS, PosTag::Dt),
+            (POSSESSIVES, PosTag::PrpDollar),
+            (PRONOUNS, PosTag::Prp),
+            (CONJUNCTIONS, PosTag::Cc),
+            (WH_WORDS, PosTag::Wp),
+            (PREPOSITIONS, PosTag::In),
+            (INTERJECTIONS, PosTag::Uh),
+            (COMMON_ADVERBS, PosTag::Rb),
+            (COMMON_ADJECTIVES, PosTag::Jj),
+            (COMMON_BASE_VERBS, PosTag::Vb),
+        ];
+        chain.iter().find(|(list, _)| list.contains(&lower)).map(|&(_, t)| t)
+    }
+
+    #[test]
+    fn every_closed_class_word_resolves_to_its_chained_tag() {
+        let mut n = 0;
+        for (w, _) in super::closed_class_words() {
+            assert_eq!(lexicon::lookup(w).tag, chained_closed_tag(w), "{w}");
+            n += 1;
+        }
+        assert!(n > 250, "closed-class lists shrank to {n} entries");
+        assert_eq!(chained_closed_tag("no"), Some(PosTag::Dt));
+        assert_eq!(chained_closed_tag("there"), Some(PosTag::Ex));
+    }
+
+    #[test]
+    fn streaming_tagger_matches_tag_tokens() {
+        let text = "The need. My ache, his help! There no like 42 $ well";
+        let toks = tokenize(text);
+        let mut tagger = Tagger::new();
+        let streamed: Vec<PosTag> = toks
+            .iter()
+            .map(|t| {
+                if t.kind == TokenKind::Word {
+                    let lower = t.text.to_lowercase();
+                    tagger.word(&lower, t.shape(), lexicon::lookup(&lower).tag)
+                } else {
+                    tagger.non_word(t)
+                }
+            })
+            .collect();
+        assert_eq!(streamed, tag_tokens(&toks));
+        assert_eq!(streamed[1], PosTag::Nn); // "The need": fix-up applied
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Vocabulary-richness statistics (Table I, "Vocabulary richness"):
 //! Yule's K and hapax/dis/tris/tetrakis legomena.
 
-use std::collections::HashMap;
-
 /// Counts of words occurring exactly 1, 2, 3 and 4 times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Legomena {
@@ -16,40 +14,33 @@ pub struct Legomena {
     pub tetrakis: usize,
 }
 
-/// Case-insensitive word-frequency table.
-#[must_use]
-pub fn frequency_table<'a, I>(words: I) -> HashMap<String, usize>
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    let mut table = HashMap::new();
-    for w in words {
-        *table.entry(w.to_lowercase()).or_insert(0) += 1;
-    }
-    table
-}
-
-/// Yule's characteristic K over a word-frequency table.
+/// Yule's characteristic K over the occurrence counts of each word type.
 ///
 /// `K = 10^4 · (Σ_i i²·V(i) − N) / N²` where `V(i)` is the number of types
 /// occurring `i` times and `N` the token count. Higher K means lower
 /// vocabulary richness (more repetition). Returns 0 for fewer than two
-/// tokens.
+/// tokens. Both sums are exact integers, so the order of `counts` cannot
+/// change a bit of the result.
 #[must_use]
-pub fn yules_k(freqs: &HashMap<String, usize>) -> f64 {
-    let n: usize = freqs.values().sum();
+pub fn yules_k<I: IntoIterator<Item = usize>>(counts: I) -> f64 {
+    let (mut n, mut m2) = (0u64, 0u64);
+    for c in counts {
+        let c = c as u64;
+        n += c;
+        m2 += c * c;
+    }
     if n < 2 {
         return 0.0;
     }
-    let m2: f64 = freqs.values().map(|&c| (c * c) as f64).sum();
-    1e4 * (m2 - n as f64) / (n as f64 * n as f64)
+    1e4 * (m2 as f64 - n as f64) / (n as f64 * n as f64)
 }
 
-/// Hapax/dis/tris/tetrakis legomena counts over a frequency table.
+/// Hapax/dis/tris/tetrakis legomena counts over the occurrence counts of
+/// each word type.
 #[must_use]
-pub fn legomena(freqs: &HashMap<String, usize>) -> Legomena {
+pub fn legomena<I: IntoIterator<Item = usize>>(counts: I) -> Legomena {
     let mut l = Legomena::default();
-    for &c in freqs.values() {
+    for c in counts {
         match c {
             1 => l.hapax += 1,
             2 => l.dis += 1,
@@ -66,47 +57,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frequency_table_case_insensitive() {
-        let t = frequency_table(["The", "the", "Doctor"]);
-        assert_eq!(t["the"], 2);
-        assert_eq!(t["doctor"], 1);
-    }
-
-    #[test]
     fn legomena_counts() {
-        let t = frequency_table(["a", "b", "b", "c", "c", "c", "d", "d", "d", "d"]);
-        let l = legomena(&t);
+        // a ×1, b ×2, c ×3, d ×4.
+        let l = legomena([1, 2, 3, 4]);
         assert_eq!(l, Legomena { hapax: 1, dis: 1, tris: 1, tetrakis: 1 });
     }
 
     #[test]
     fn yules_k_zero_for_all_distinct_large_vocab() {
         // All words distinct: M2 == N so K == 0.
-        let t = frequency_table(["a", "b", "c", "d"]);
-        assert!((yules_k(&t)).abs() < 1e-12);
+        assert!((yules_k([1, 1, 1, 1])).abs() < 1e-12);
     }
 
     #[test]
     fn yules_k_increases_with_repetition() {
-        let varied = frequency_table(["a", "b", "c", "d", "e", "f"]);
-        let repetitive = frequency_table(["a", "a", "a", "b", "b", "c"]);
-        assert!(yules_k(&repetitive) > yules_k(&varied));
+        let varied = yules_k([1; 6]);
+        let repetitive = yules_k([3, 2, 1]);
+        assert!(repetitive > varied);
     }
 
     #[test]
     fn yules_k_known_value() {
         // N=4 tokens, one type twice + two once: M2 = 4+1+1 = 6.
         // K = 1e4 * (6-4)/16 = 1250.
-        let t = frequency_table(["a", "a", "b", "c"]);
-        assert!((yules_k(&t) - 1250.0).abs() < 1e-9);
+        assert!((yules_k([2, 1, 1]) - 1250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn yules_k_is_order_independent() {
+        let a = yules_k([5, 1, 3, 1, 1, 2]);
+        let b = yules_k([1, 1, 1, 2, 3, 5]);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
     fn degenerate_inputs() {
-        let empty: HashMap<String, usize> = HashMap::new();
-        assert_eq!(yules_k(&empty), 0.0);
-        let one = frequency_table(["solo"]);
-        assert_eq!(yules_k(&one), 0.0);
-        assert_eq!(legomena(&empty), Legomena::default());
+        assert_eq!(yules_k([]), 0.0);
+        assert_eq!(yules_k([1]), 0.0);
+        assert_eq!(legomena([]), Legomena::default());
     }
 }

@@ -64,14 +64,20 @@ impl<'a> Token<'a> {
         if self.kind != TokenKind::Word {
             return WordShape::Other;
         }
-        let letters: Vec<char> = self.text.chars().filter(|c| c.is_alphabetic()).collect();
-        if letters.is_empty() {
+        let (mut n_letters, mut n_upper, mut first_upper) = (0usize, 0usize, false);
+        for c in self.text.chars().filter(|c| c.is_alphabetic()) {
+            let upper = c.is_uppercase();
+            if n_letters == 0 {
+                first_upper = upper;
+            }
+            n_letters += 1;
+            n_upper += usize::from(upper);
+        }
+        if n_letters == 0 {
             return WordShape::Other;
         }
-        let n_upper = letters.iter().filter(|c| c.is_uppercase()).count();
-        let first_upper = letters[0].is_uppercase();
-        if n_upper == letters.len() {
-            if letters.len() >= 2 {
+        if n_upper == n_letters {
+            if n_letters >= 2 {
                 WordShape::AllUpper
             } else {
                 WordShape::Other
@@ -96,64 +102,68 @@ fn is_word_char(c: char) -> bool {
     c.is_alphabetic()
 }
 
-/// Tokenize `text` into [`Token`]s.
-///
-/// (The two look-ahead branches below are textually identical but guard
-/// different predicates, hence the lint allowance.)
+/// Tokenize `text` into [`Token`]s: [`tokens`] collected.
 ///
 /// Guarantees:
 /// - never panics on any UTF-8 input,
 /// - token spans are non-overlapping and increasing,
 /// - concatenating token texts with the skipped gaps reproduces the input.
 #[must_use]
-#[allow(clippy::if_same_then_else)]
 pub fn tokenize(text: &str) -> Vec<Token<'_>> {
-    let mut tokens = Vec::new();
-    let bytes_len = text.len();
-    let mut iter = text.char_indices().peekable();
-    while let Some((start, c)) = iter.next() {
-        if c.is_whitespace() {
-            continue;
-        }
-        if is_word_char(c) {
+    tokens(text).collect()
+}
+
+/// The tokens of `text` in order, produced lazily (no allocation).
+#[must_use]
+pub fn tokens(text: &str) -> Tokens<'_> {
+    Tokens { text, at: 0 }
+}
+
+/// Iterator over the tokens of a text; see [`tokens`].
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    text: &'a str,
+    /// Byte offset where the next token search starts.
+    at: usize,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let text = self.text;
+        let Some(skip) = text[self.at..].find(|c: char| !c.is_whitespace()) else {
+            self.at = text.len();
+            return None;
+        };
+        let start = self.at + skip;
+        let c = text[start..].chars().next()?;
+        let (end, kind) = if is_word_char(c) {
             // Maximal alphabetic run, allowing internal ' and - when
             // followed by another letter (don't, well-known).
             let mut end = start + c.len_utf8();
-            while let Some(&(i, nc)) = iter.peek() {
+            while let Some(nc) = text[end..].chars().next() {
                 if is_word_char(nc) {
-                    end = i + nc.len_utf8();
-                    iter.next();
-                } else if (nc == '\'' || nc == '-') && {
-                    // Look one past the separator for a letter.
-                    let after = &text[i + nc.len_utf8()..];
-                    after.chars().next().is_some_and(is_word_char)
-                } {
-                    end = i + nc.len_utf8();
-                    iter.next();
+                    end += nc.len_utf8();
+                } else if (nc == '\'' || nc == '-')
+                    && text[end + 1..].chars().next().is_some_and(is_word_char)
+                {
+                    end += 1;
                 } else {
                     break;
                 }
             }
-            debug_assert!(end <= bytes_len);
-            tokens.push(Token { text: &text[start..end], kind: TokenKind::Word, start });
+            (end, TokenKind::Word)
         } else if c.is_ascii_digit() {
-            let mut end = start + 1;
-            while let Some(&(i, nc)) = iter.peek() {
-                if nc.is_ascii_digit() {
-                    end = i + 1;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            tokens.push(Token { text: &text[start..end], kind: TokenKind::Number, start });
+            let run = text[start..].bytes().take_while(u8::is_ascii_digit).count();
+            (start + run, TokenKind::Number)
         } else {
             let kind = if is_punct(c) { TokenKind::Punct } else { TokenKind::Symbol };
-            let end = start + c.len_utf8();
-            tokens.push(Token { text: &text[start..end], kind, start });
-        }
+            (start + c.len_utf8(), kind)
+        };
+        self.at = end;
+        Some(Token { text: &text[start..end], kind, start })
     }
-    tokens
 }
 
 /// Split `text` into sentences.

@@ -301,6 +301,31 @@ fn v3_quantized_section_must_match_its_context() {
 }
 
 #[test]
+fn corrupt_forum_counts_are_refused_before_decoding_on_both_load_paths() {
+    // The forum section's user and thread counts size allocations before
+    // any cross-section check can bound them: decoded, `u32::MAX` users
+    // would ask for ~100 GB. Both loads must catch the corruption by the
+    // forum's checksum first, the mapped one included.
+    let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
+    assert_eq!(&bytes[16..20], b"FORM", "the forum is the first section");
+    let forum = de_health::service::corpus::SECTION_FORUM;
+    // Its payload starts after the 16-byte container and section headers
+    // with the user count, then the thread count.
+    for field in [32..36, 36..40] {
+        let mut bad = bytes.clone();
+        bad[field.clone()].copy_from_slice(&u32::MAX.to_le_bytes());
+        match PreparedCorpus::from_shared_bytes(&ByteSource::from_vec(bad.clone())) {
+            Err(SnapshotError::ChecksumMismatch { tag }) if tag == forum => {}
+            other => panic!("mapped load of forum field {field:?}: got {other:?}"),
+        }
+        match PreparedCorpus::from_snapshot_bytes(&bad) {
+            Err(SnapshotError::ChecksumMismatch { tag }) if tag == forum => {}
+            other => panic!("owned load of forum field {field:?}: got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn misaligned_backing_yields_a_typed_error_not_an_unaligned_cast() {
     // Shift a valid v2 snapshot by 4 bytes inside an 8-aligned buffer:
     // every u64/f64 arena offset is now misaligned in memory. The strict
